@@ -1,7 +1,8 @@
 package repro
 
-// One testing.B benchmark per experiment of the index in DESIGN.md, plus
-// the ablation benches for the design decisions it calls out. The dmbench
+// One testing.B benchmark per experiment of the index (`dmbench -list`,
+// README "dmbench — the experiment harness"), plus the ablation benches
+// for the design decisions README "Mining engines" calls out. The dmbench
 // command prints the full tables; these benches give allocation-aware
 // single-configuration numbers per algorithm.
 
@@ -329,10 +330,11 @@ func BenchmarkParallelPartitionW4(b *testing.B) {
 	benchMiner(b, &assoc.Partition{NumPartitions: 4, Workers: 4})
 }
 
-// --- EXP-P3: pattern growth (per-shard FP-trees + parallel projections) ---
+// --- EXP-P3: pattern growth (sorted-path FP-tree + parallel projections) ---
 
 // FPGrowth at the benchmark support and at a low support where candidate
-// generation explodes; W4 exercises the per-shard build + per-item fan-out.
+// generation explodes; W4 exercises the parallel pass-1 count and the
+// per-item projection fan-out.
 func BenchmarkFPGrowthW1(b *testing.B) { benchMiner(b, &assoc.FPGrowth{Workers: 1}) }
 func BenchmarkFPGrowthW4(b *testing.B) { benchMiner(b, &assoc.FPGrowth{Workers: 4}) }
 
@@ -525,7 +527,7 @@ func BenchmarkIncrementalMaintain10pct(b *testing.B) {
 	}
 }
 
-// --- Ablations (design decisions from DESIGN.md) ---
+// --- Ablations (design decisions from README "Mining engines") ---
 
 // Hash tree vs map-based candidate counting inside Apriori.
 func BenchmarkAblationCountHashTree(b *testing.B) {

@@ -1,5 +1,6 @@
 // Command dmbench regenerates the reproduction's experiment tables — one
-// per table/figure of the canonical evaluations indexed in DESIGN.md.
+// per table/figure of the canonical evaluations that -list indexes (see
+// README "dmbench — the experiment harness").
 //
 // Usage:
 //

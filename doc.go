@@ -28,8 +28,8 @@
 // Workers option that changes only wall-clock time. Eclat instead mines
 // the vertical layout and picks between sorted tid-lists and
 // transactions.Bitset (word-wise AND + popcount) by density. FPGrowth is
-// the candidate-free engine: per-shard FP-trees (internal/fptree) merge by
-// the same commutative-addition contract into a global tree, and mining
+// the candidate-free engine: one FP-tree (internal/fptree) built from the
+// lexicographically sorted rank paths of the transactions, and mining
 // fans per-item conditional projections out across workers — the
 // low-support winner (EXP-P3). assoc.Auto probes the pass-1 scan and
 // dispatches each Mine to the expected-fastest of these engines.
@@ -54,7 +54,8 @@
 // dirty shards after updates, which lets assoc.Incremental use Distributed
 // as its full-run base.
 //
-// See README.md for the tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for measured-vs-published results. The root-level
-// benchmarks in bench_test.go mirror the experiment index.
+// See README.md for the tour: its "Architecture" and "Repository map"
+// sections are the system inventory, and "Reading the BENCH_*.json
+// baselines" explains the measured results. The root-level benchmarks in
+// bench_test.go mirror the experiment index that `dmbench -list` prints.
 package repro

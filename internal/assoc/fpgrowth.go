@@ -16,20 +16,20 @@ import (
 // by recursive conditional projection. At low support this sidesteps the
 // candidate explosion entirely, which is what EXP-P3 measures.
 //
-// The tree build follows the shard → count → merge contract: with Workers
-// > 1 each worker builds a private tree over one contiguous shard and the
-// trees merge by serial path-wise integer addition, so the global tree's
-// counts are bit-identical to a single-threaded build. Mining then fans
-// the per-item conditional projections out across workers (each frequent
-// item's patterns are disjoint from every other's), with a single-path
-// shortcut that enumerates subset patterns without further projection and
-// a per-worker fptree.Scratch recycling buffers and conditional trees
-// across the recursion. Results are byte-identical to Apriori's in
-// canonical order, a property the tests pin at workers 1, 2 and 8.
+// The pass-1 count runs on the shard → count → merge pipeline. The tree
+// is then built once, serially, by fptree.Build: sorting the rank paths
+// makes the build a cache-friendly preorder append, which beats building
+// per-shard trees and merging them. Mining fans the per-item conditional
+// projections out across workers (each frequent item's patterns are
+// disjoint from every other's), with a single-path shortcut that
+// enumerates subset patterns without further projection and a per-worker
+// fptree.Scratch recycling buffers and conditional trees across the
+// recursion. Results are byte-identical to Apriori's in canonical order, a
+// property the tests pin at workers 1, 2 and 8.
 type FPGrowth struct {
-	// Workers bounds the goroutines used for the pass-1 count scan, the
-	// per-shard tree builds and the per-item projection fan-out; <= 1 runs
-	// serially with identical results.
+	// Workers bounds the goroutines used for the pass-1 count scan and the
+	// per-item projection fan-out; the tree build is serial. <= 1 runs
+	// everything serially with identical results.
 	Workers int
 
 	hook PassHook
@@ -68,8 +68,8 @@ func (f *FPGrowth) MineContext(ctx context.Context, db *transactions.DB, minSupp
 	if ranks.Len() == 0 {
 		return res, nil
 	}
-	tree, err := buildTree(ctx, db, ranks, f.Workers)
-	if err != nil {
+	tree := fptree.Build(db.Transactions, ranks)
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
@@ -108,38 +108,6 @@ func assembleGrowthLevels(res *Result, hook PassHook, perRank [][]ItemsetCount, 
 		res.addPass(hook, PassStat{K: k, Candidates: len(res.Levels[k-1]), Frequent: len(res.Levels[k-1]), Degraded: degraded}, res.Levels[k-1])
 	}
 	sortLevel(res.Levels[0])
-}
-
-// buildTree constructs the global FP-tree: per-shard private builds when
-// workers > 1, merged serially into shard 0's tree.
-func buildTree(ctx context.Context, db *transactions.DB, ranks *fptree.Ranks, workers int) (*fptree.Tree, error) {
-	if workers <= 1 {
-		t := fptree.Build(db.Transactions, ranks)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	trees := make([]*fptree.Tree, workers)
-	if err := forEachShard(ctx, db, workers, func(shard int, sh transactions.Shard) {
-		trees[shard] = fptree.Build(sh.Transactions, ranks)
-	}); err != nil {
-		return nil, err
-	}
-	var global *fptree.Tree
-	for _, t := range trees {
-		switch {
-		case t == nil:
-		case global == nil:
-			global = t
-		default:
-			global.Merge(t)
-		}
-	}
-	if global == nil {
-		global = fptree.New(ranks)
-	}
-	return global, nil
 }
 
 // minePerRank mines every frequent item's conditional patterns, returning

@@ -45,29 +45,50 @@ func TestFPGrowthMatchesAprioriProperty(t *testing.T) {
 	}
 }
 
-// TestFPGrowthMatchesAprioriSynthetic pins byte-identity on a Quest
-// workload deep enough to exercise multi-level conditional trees, the
-// single-path shortcut, and every shard boundary of the parallel build.
+// TestFPGrowthMatchesAprioriSynthetic pins byte-identity on Quest
+// workloads at workers 1, 2 and 8. The T10.I4.D800 input is deep enough to
+// exercise multi-level conditional trees and the single-path shortcut. The
+// second input is a scaled-down mine-dense shape (T10.I4.D2K over 1000
+// items) at a support where Auto picks pattern growth: hundreds of
+// frequent items give a bushy tree whose root and upper nodes fan out
+// wide and whose preorder build keeps deep node stacks.
 func TestFPGrowthMatchesAprioriSynthetic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthetic workload")
 	}
-	db, err := synth.Baskets(synth.TxI(10, 4, 800, 94))
+	deep, err := synth.Baskets(synth.TxI(10, 4, 800, 94))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, minSup := range []float64{0.05, 0.01, 0.005} {
-		want, err := (&Apriori{}).Mine(db, minSup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := (&FPGrowth{Workers: workers}).Mine(db, minSup)
+	bushy, err := synth.Baskets(synth.T10I4(2000, 95))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto := &Auto{}
+	if _, err := auto.Select(bushy, 0.004); err != nil || auto.Selected() != "FPGrowth" {
+		t.Fatalf("Auto on the bushy input picks %q (err %v), want FPGrowth", auto.Selected(), err)
+	}
+	for _, in := range []struct {
+		name    string
+		db      *transactions.DB
+		minSups []float64
+	}{
+		{"T10.I4.D800", deep, []float64{0.05, 0.01, 0.005}},
+		{"T10.I4.D2K/1000 items", bushy, []float64{0.004}},
+	} {
+		for _, minSup := range in.minSups {
+			want, err := (&Apriori{}).Mine(in.db, minSup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Canonical(), want.Canonical()) {
-				t.Errorf("FPGrowth workers=%d at minsup %v diverges from Apriori", workers, minSup)
+			for _, workers := range []int{1, 2, 8} {
+				got, err := (&FPGrowth{Workers: workers}).Mine(in.db, minSup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Canonical(), want.Canonical()) {
+					t.Errorf("%s: FPGrowth workers=%d at minsup %v diverges from Apriori", in.name, workers, minSup)
+				}
 			}
 		}
 	}

@@ -2,7 +2,7 @@
 // transactions.ShardedDB shard snapshots to workers over a pluggable
 // Transport, workers run the repo's per-shard counting structures (flat
 // pass-1 item arrays, the triangular pass-2 pair array, hash-tree count
-// buffers for candidate lengths >= 3, and per-shard FP-tree builds) and
+// buffers for candidate lengths >= 3, and one FP-tree build per worker) and
 // return serialized mergeable buffers, and the coordinator folds the
 // buffers together with the same commutative integer adds the parallel and
 // incremental engines use locally.

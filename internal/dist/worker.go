@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fptree"
 	"repro/internal/hashtree"
+	"repro/internal/transactions"
 )
 
 // Worker is the counting side of the backend: it keeps version-stamped
@@ -137,21 +138,22 @@ func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) e
 }
 
 // BuildTree builds one FP-tree over the requested replicas under the
-// shared rank table and returns its exported node pool. Building all
-// shards into one tree equals building per shard and merging — the
-// package's commutative-add contract.
+// shared rank table and returns its exported node pool. The build sorts
+// the replicas' paths together, so the tree equals a local build over the
+// same transactions whatever the shard split.
 func (w *Worker) BuildTree(args BuildTreeArgs, reply *TreeReply) error {
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
 	}
-	tree := fptree.New(args.Ranks)
-	var buf []int32
+	n := 0
 	for _, sh := range shards {
-		for _, tx := range sh.Txs {
-			buf = tree.AddTransaction(tx, buf)
-		}
+		n += len(sh.Txs)
 	}
-	reply.Nodes = tree.Export()
+	txs := make([]transactions.Itemset, 0, n)
+	for _, sh := range shards {
+		txs = append(txs, sh.Txs...)
+	}
+	reply.Nodes = fptree.Build(txs, args.Ranks).Export()
 	return nil
 }

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the
-// reproduction's experiment index (DESIGN.md): the canonical evaluations of
-// the algorithms the SIGMOD'96 tutorial surveys. Each experiment prints a
-// plain-text table shaped like its source figure; cmd/dmbench is the CLI
-// front end and EXPERIMENTS.md records measured-vs-published shapes. The
-// engine-trajectory experiments additionally persist machine-readable
+// reproduction's experiment index (`dmbench -list`): the canonical
+// evaluations of the algorithms the SIGMOD'96 tutorial surveys. Each
+// experiment prints a plain-text table shaped like its source figure;
+// cmd/dmbench is the CLI front end and README "Reading the BENCH_*.json
+// baselines" explains the measured results. The engine-trajectory
+// experiments additionally persist machine-readable
 // baselines: EXP-P1 writes BENCH_parallel.json (count-distribution scaling
 // and Eclat layouts), EXP-P2 writes BENCH_incremental.json (dirty-shard
 // maintenance vs full re-mining), EXP-P3 writes BENCH_fpgrowth.json

@@ -4,23 +4,32 @@
 // pooled-node FP-tree with header tables over support-descending item
 // ranks.
 //
-// The package obeys the repo-wide build/merge/project contract:
+// The package is laid out so that building and projecting touch memory
+// in order:
 //
-//   - Build: a tree is constructed per contiguous database shard by
-//     inserting each transaction's frequent items in rank order, so common
-//     prefixes share nodes and the tree is a compressed representation of
-//     the shard (nodes live in one pooled slice, links are int32 indices —
-//     no per-node allocations, no pointer chasing across the heap).
-//   - Merge: per-shard trees combine by serial path-wise integer addition
-//     into a global tree. Addition is commutative, so the merged counts
-//     (node counts and header totals alike) are bit-identical to a
-//     single-threaded build over the whole database regardless of shard
-//     count or merge order.
+//   - Build: each transaction's frequent items become an ascending rank
+//     path in one flat arena. The paths are sorted lexicographically and
+//     inserted in that order, each extending the previous path's node
+//     stack from their longest common prefix, so no child list is ever
+//     searched and the node pool comes out in depth-first preorder, sized
+//     once from the arena length. The tree depends only on the multiset
+//     of paths: shuffled or re-split input builds the same pool.
+//   - Layout: nodes live in two parallel pooled slices indexed alike —
+//     8-byte {parent, rank} links, read by every ancestor walk, and the
+//     {child, sibling, next, count} body. Links are int32 indices: no
+//     per-node allocations, no pointer chasing across the heap.
 //   - Project: mining grows patterns by projecting a rank's conditional
 //     pattern base (the prefix paths of its header chain) into a pruned
-//     conditional tree, using a Scratch that recycles count arrays, path
-//     buffers and whole trees across the recursion. Projection never
-//     rescans the database; every conditional count is an exact support.
+//     conditional tree. One ancestor walk per chain node both counts the
+//     ranks and records the prefix into Scratch-owned flat buffers; the
+//     filter-and-insert pass reads those buffers instead of walking the
+//     tree again. Scratch recycles count arrays, path buffers and whole
+//     trees across the recursion. Projection never rescans the database;
+//     every conditional count is an exact support.
+//   - Merge, Export and Import: the distributed backend ships each
+//     worker's tree as its flat node pool and merges the imported trees by
+//     path-wise integer addition, which is commutative, so the merged
+//     counts are bit-identical to one build over all the transactions.
 //
 // internal/assoc's FPGrowth drives the recursion (single-path shortcut,
 // per-item fan-out across workers) and assembles the Result.
@@ -28,6 +37,7 @@ package fptree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/transactions"
@@ -79,23 +89,32 @@ func NewRanks(counts []int, minCount int) *Ranks {
 // Len returns the number of ranked (frequent) items.
 func (r *Ranks) Len() int { return len(r.Items) }
 
-// node is one FP-tree node. Links are indices into the owning tree's node
-// pool; 0 is the null link (node 0 is the root, which is never a child,
-// sibling or header-chain member).
+// link is the upward half of an FP-tree node: its item rank and its
+// parent's pool index. Links live in their own slice, parallel to the
+// node pool, so the ancestor walks of projection read 8-byte entries —
+// eight to a cache line — instead of whole nodes.
+type link struct {
+	parent int32 // parent node, 0 for depth-1 nodes
+	rank   int32 // item rank; unused on the root
+}
+
+// node is the downward and chain half of an FP-tree node. Its links are
+// indices into the owning tree's pool; 0 is the null link (node 0 is the
+// root, which is never a child, sibling or header-chain member).
 type node struct {
-	rank    int32 // item rank; unused on the root
-	parent  int32 // parent node, 0 for depth-1 nodes
 	child   int32 // first child, 0 if leaf
 	sibling int32 // next sibling in the parent's child list
 	next    int32 // next node of the same rank (header chain)
 	count   int   // transactions whose rank path runs through this node
 }
 
-// Tree is a pooled-node FP-tree: nodes live in one slice, the header table
-// chains all nodes of a rank, and totals accumulates each rank's support
-// within the tree. All trees over the same database share one *Ranks.
+// Tree is a pooled-node FP-tree: nodes live in two parallel slices (links
+// and nodes, indexed alike), the header table chains all nodes of a rank,
+// and totals accumulates each rank's support within the tree. All trees
+// over the same database share one *Ranks.
 type Tree struct {
 	ranks  *Ranks
+	links  []link  // links[0] is the root's (unused) entry
 	nodes  []node  // nodes[0] is the root
 	heads  []int32 // rank -> first node of the header chain, 0 if absent
 	totals []int   // rank -> summed node counts (the rank's support here)
@@ -105,8 +124,8 @@ type Tree struct {
 	present []int32
 	// rootIdx maps rank -> depth-1 child of the root (0 if absent). The
 	// root is the one node whose child list grows towards |L1| siblings —
-	// every transaction starts an insert there — so it gets a direct
-	// index while deeper nodes keep the short sibling scan.
+	// every inserted path starts there — so it gets a direct index while
+	// deeper nodes keep the short sibling scan.
 	rootIdx []int32
 }
 
@@ -114,6 +133,7 @@ type Tree struct {
 func New(r *Ranks) *Tree {
 	return &Tree{
 		ranks:   r,
+		links:   make([]link, 1, 64),
 		nodes:   make([]node, 1, 64),
 		heads:   make([]int32, r.Len()),
 		totals:  make([]int, r.Len()),
@@ -121,15 +141,134 @@ func New(r *Ranks) *Tree {
 	}
 }
 
-// Build constructs one tree from a run of transactions — the per-shard
-// construction step; shard trees combine with Merge.
+// Build constructs the FP-tree of txs under the rank table. Each
+// transaction's ranked items become an ascending rank path in one flat
+// arena; the paths are sorted lexicographically and inserted in that
+// order, each one extending the previous path's node stack from their
+// longest common prefix. No child list is ever searched, the node pool
+// comes out in depth-first preorder, and it is sized once from the arena
+// length. The tree therefore depends only on the multiset of paths: any
+// order or split of the same transactions builds the same pool.
 func Build(txs []transactions.Itemset, r *Ranks) *Tree {
-	t := New(r)
-	var buf []int32
-	for _, tx := range txs {
-		buf = t.AddTransaction(tx, buf)
+	paths, offs := encodePaths(txs, r)
+	order := make([]int32, 0, len(txs))
+	longest := 0
+	for i := range txs {
+		if n := offs[i+1] - offs[i]; n > 0 {
+			order = append(order, int32(i))
+			longest = max(longest, n)
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return slices.Compare(paths[offs[a]:offs[a+1]], paths[offs[b]:offs[b+1]])
+	})
+	t := &Tree{
+		ranks:   r,
+		links:   make([]link, len(paths)+1),
+		nodes:   make([]node, len(paths)+1),
+		heads:   make([]int32, r.Len()),
+		totals:  make([]int, r.Len()),
+		rootIdx: make([]int32, r.Len()),
+	}
+	t.insertSorted(paths, offs, order, make([]int32, r.Len()), make([]int32, 0, longest))
+	for _, rk := range paths {
+		t.totals[rk]++
+	}
+	for rk, c := range t.totals {
+		if c > 0 {
+			t.present = append(t.present, int32(rk))
+		}
 	}
 	return t
+}
+
+// encodePaths filters every transaction to its ranked items in ascending
+// rank order (most frequent first) and lays the paths end to end:
+// transaction i's path is paths[offs[i]:offs[i+1]]. Items beyond the rank
+// table (seen only after the ranks froze) are skipped. A counting pass
+// sizes the arena exactly, so neither slice grows.
+func encodePaths(txs []transactions.Itemset, r *Ranks) (paths []int32, offs []int) {
+	offs = make([]int, len(txs)+1)
+	for i, tx := range txs {
+		n := 0
+		for _, item := range tx {
+			if item < len(r.OfItem) && r.OfItem[item] >= 0 {
+				n++
+			}
+		}
+		offs[i+1] = offs[i] + n
+	}
+	paths = make([]int32, offs[len(txs)])
+	for i, tx := range txs {
+		path := paths[offs[i]:offs[i]:offs[i+1]]
+		for _, item := range tx {
+			if item < len(r.OfItem) {
+				if rk := r.OfItem[item]; rk >= 0 {
+					path = append(path, rk)
+				}
+			}
+		}
+		// Insertion sort: transactions are short and an itemset never
+		// repeats an item, so this beats a general sort per path.
+		for a := 1; a < len(path); a++ {
+			for b := a; b > 0 && path[b] < path[b-1]; b-- {
+				path[b], path[b-1] = path[b-1], path[b]
+			}
+		}
+	}
+	return paths, offs
+}
+
+// insertSorted inserts the arena paths in the given (lexicographically
+// sorted) order into the empty, pre-sized pool: the common prefix with the
+// previous path only gains a count, and the remainder becomes fresh nodes
+// appended in preorder, each linked at the head of its parent's child
+// list and at the tail of its rank's header chain. tails is a zeroed
+// per-rank scratch and stack an empty buffer with room for the longest
+// path. The pool holds one slot per arena entry, the most nodes the paths
+// can create, and is trimmed to the nodes used.
+//
+//invcheck:hotpath
+func (t *Tree) insertSorted(paths []int32, offs []int, order, tails, stack []int32) {
+	var prev []int32
+	used := int32(1)
+	for _, pi := range order {
+		path := paths[offs[pi]:offs[pi+1]]
+		l := 0
+		for l < len(prev) && l < len(path) && prev[l] == path[l] {
+			l++
+		}
+		for _, n := range stack[:l] {
+			t.nodes[n].count++
+		}
+		stack = stack[:l]
+		parent := int32(0)
+		if l > 0 {
+			parent = stack[l-1]
+		}
+		for _, rk := range path[l:] {
+			n := used
+			used++
+			t.links[n] = link{parent: parent, rank: rk}
+			t.nodes[n] = node{sibling: t.nodes[parent].child, count: 1}
+			t.nodes[parent].child = n
+			if tails[rk] == 0 {
+				t.heads[rk] = n
+			} else {
+				t.nodes[tails[rk]].next = n
+			}
+			tails[rk] = n
+			if parent == 0 {
+				t.rootIdx[rk] = n
+			}
+			stack = stack[:len(stack)+1]
+			stack[len(stack)-1] = n
+			parent = n
+		}
+		prev = path
+	}
+	t.links = t.links[:used]
+	t.nodes = t.nodes[:used]
 }
 
 // Ranks returns the shared rank table.
@@ -144,35 +283,6 @@ func (t *Tree) Empty() bool { return len(t.nodes) == 1 }
 
 // NumNodes returns the number of item nodes (the root is not counted).
 func (t *Tree) NumNodes() int { return len(t.nodes) - 1 }
-
-// AddTransaction filters tx to its ranked items, orders them by ascending
-// rank (most frequent first) and inserts the path with count 1. buf is a
-// reusable rank buffer; the possibly-grown buffer is returned so callers
-// can thread it through a build loop without reallocating.
-//
-//invcheck:hotpath
-func (t *Tree) AddTransaction(tx transactions.Itemset, buf []int32) []int32 {
-	buf = buf[:0]
-	for _, item := range tx {
-		if item < len(t.ranks.OfItem) {
-			if rk := t.ranks.OfItem[item]; rk >= 0 {
-				//lint:ignore invcheck/allocbound buf is the caller-threaded scratch buffer: it grows to the longest transaction once and is reused for the rest of the build
-				buf = append(buf, rk)
-			}
-		}
-	}
-	// Insertion sort: transactions are short and an itemset never repeats
-	// an item, so this beats sort.Slice on the build hot path.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	if len(buf) > 0 {
-		t.Insert(buf, 1)
-	}
-	return buf
-}
 
 // Insert adds one rank path (ascending ranks, i.e. most frequent first)
 // with the given count, sharing existing prefix nodes.
@@ -209,19 +319,14 @@ func (t *Tree) step(cur, rk int32, count int) int32 {
 		child = t.rootIdx[rk]
 	} else {
 		child = t.nodes[cur].child
-		for child != 0 && t.nodes[child].rank != rk {
+		for child != 0 && t.links[child].rank != rk {
 			child = t.nodes[child].sibling
 		}
 	}
 	if child == 0 {
 		child = int32(len(t.nodes))
-		//lint:ignore invcheck/allocbound node-arena growth: a node is created once per distinct path prefix and the backing array doubles amortized, far below one alloc per transaction
-		t.nodes = append(t.nodes, node{
-			rank:    rk,
-			parent:  cur,
-			sibling: t.nodes[cur].child,
-			next:    t.heads[rk],
-		})
+		//lint:ignore invcheck/allocbound node-arena growth: a node is created once per distinct path prefix and the backing arrays double amortized, far below one alloc per inserted path
+		t.links, t.nodes = append(t.links, link{parent: cur, rank: rk}), append(t.nodes, node{sibling: t.nodes[cur].child, next: t.heads[rk]})
 		t.nodes[cur].child = child
 		t.heads[rk] = child
 		if cur == 0 {
@@ -236,8 +341,8 @@ func (t *Tree) step(cur, rk int32, count int) int32 {
 // inserted into t with its count. Merging shard trees in any order yields
 // node counts and header totals bit-identical to building one tree over
 // the concatenated shards, because addition is commutative and paths are
-// independent of shard boundaries. Merge is serial by design — the
-// parallelism lives in the per-shard builds.
+// independent of shard boundaries. The distributed coordinator merges the
+// trees its workers build over their replicas this way.
 func (t *Tree) Merge(o *Tree) {
 	t.mergeChildren(0, 0, o)
 }
@@ -245,7 +350,7 @@ func (t *Tree) Merge(o *Tree) {
 // mergeChildren mirrors o's subtree under src onto t's subtree under dst.
 func (t *Tree) mergeChildren(dst, src int32, o *Tree) {
 	for c := o.nodes[src].child; c != 0; c = o.nodes[c].sibling {
-		rk := o.nodes[c].rank
+		rk := o.links[c].rank
 		cnt := o.nodes[c].count
 		if t.totals[rk] == 0 {
 			t.present = append(t.present, rk)
@@ -270,11 +375,14 @@ type EncodedNode struct {
 // Export serializes the tree's item nodes in pool order (the root is
 // implicit). Nodes are appended to the pool as paths are inserted, so a
 // parent always precedes its children; Import relies on that to rebuild
-// links in one forward pass.
+// links in one forward pass. For a tree from Build the pool order is the
+// depth-first preorder of the sorted paths, so equal transaction
+// multisets export equal bytes.
 func (t *Tree) Export() []EncodedNode {
-	out := make([]EncodedNode, 0, len(t.nodes)-1)
-	for _, n := range t.nodes[1:] {
-		out = append(out, EncodedNode{Rank: n.rank, Parent: n.parent, Count: n.count})
+	out := make([]EncodedNode, len(t.nodes)-1)
+	for i := range out {
+		l := t.links[i+1]
+		out[i] = EncodedNode{Rank: l.rank, Parent: l.parent, Count: t.nodes[i+1].count}
 	}
 	return out
 }
@@ -288,11 +396,8 @@ func (t *Tree) Export() []EncodedNode {
 // corrupting the pool.
 func Import(r *Ranks, nodes []EncodedNode) (*Tree, error) {
 	t := New(r)
-	if cap(t.nodes) < len(nodes)+1 {
-		grown := make([]node, 1, len(nodes)+1)
-		grown[0] = t.nodes[0]
-		t.nodes = grown
-	}
+	t.links = make([]link, 1, len(nodes)+1)
+	t.nodes = make([]node, 1, len(nodes)+1)
 	for i, en := range nodes {
 		idx := int32(len(t.nodes))
 		if en.Rank < 0 || int(en.Rank) >= r.Len() {
@@ -307,9 +412,8 @@ func Import(r *Ranks, nodes []EncodedNode) (*Tree, error) {
 		if en.Count <= 0 {
 			return nil, fmt.Errorf("fptree: import node %d: non-positive count %d", i, en.Count)
 		}
+		t.links = append(t.links, link{parent: en.Parent, rank: en.Rank})
 		t.nodes = append(t.nodes, node{
-			rank:    en.Rank,
-			parent:  en.Parent,
 			sibling: t.nodes[en.Parent].child,
 			next:    t.heads[en.Rank],
 			count:   en.Count,
@@ -329,13 +433,17 @@ func Import(r *Ranks, nodes []EncodedNode) (*Tree, error) {
 
 // Scratch pools the buffers conditional projection and single-path
 // detection reuse across the mining recursion: the per-rank conditional
-// count array (zeroed back after every projection), the ancestor walk
-// buffer, the single-path buffers, and released conditional trees. One
-// Scratch serves one goroutine; it must not be shared concurrently.
+// count array (zeroed back after every projection), the recorded prefix
+// paths of the current projection, the insert and single-path buffers,
+// and released conditional trees. One Scratch serves one goroutine; it
+// must not be shared concurrently.
 type Scratch struct {
 	counts   []int   // per-rank conditional counts, transiently non-zero
 	touched  []int32 // ranks written into counts by the current projection
-	path     []int32 // ancestor path buffer
+	prefix   []int32 // recorded prefix paths, each leaf-to-root, end to end
+	ends     []int   // prefix path i ends at prefix[ends[i]]
+	weights  []int   // prefix path i's count (its chain node's count)
+	path     []int32 // filtered insert buffer
 	spRanks  []int32 // SinglePath rank buffer
 	spCounts []int   // SinglePath count buffer
 	free     []*Tree // released conditional trees, ready for reuse
@@ -364,6 +472,7 @@ func (s *Scratch) getTree(r *Ranks) *Tree {
 // reset clears the tree for reuse under the given rank table.
 func (t *Tree) reset(r *Ranks) {
 	t.ranks = r
+	t.links = t.links[:1]
 	t.nodes = t.nodes[:1]
 	t.nodes[0] = node{}
 	t.present = t.present[:0]
@@ -391,37 +500,45 @@ func (t *Tree) reset(r *Ranks) {
 // frequent extension context of rank. The tree comes from the scratch
 // pool — hand it back with s.Release once its recursion finishes.
 func (t *Tree) Project(rank int32, minCount int, s *Scratch) *Tree {
-	// Pass 1 over the header chain: exact conditional counts per ancestor
-	// rank, touching only the ranks that actually occur.
+	// Pass 1 walks each chain node's ancestors once: it sums the exact
+	// conditional count of every ancestor rank (touching only the ranks
+	// that occur) and records the prefix path, so pass 2 never walks the
+	// tree again. Depth-1 chain nodes have empty prefixes and are skipped.
 	s.touched = s.touched[:0]
+	s.prefix, s.ends, s.weights = s.prefix[:0], s.ends[:0], s.weights[:0]
 	for n := t.heads[rank]; n != 0; n = t.nodes[n].next {
+		p := t.links[n].parent
+		if p == 0 {
+			continue
+		}
 		cnt := t.nodes[n].count
-		for p := t.nodes[n].parent; p != 0; p = t.nodes[p].parent {
-			rk := t.nodes[p].rank
+		for ; p != 0; p = t.links[p].parent {
+			rk := t.links[p].rank
 			if s.counts[rk] == 0 {
 				s.touched = append(s.touched, rk)
 			}
 			s.counts[rk] += cnt
+			s.prefix = append(s.prefix, rk)
 		}
+		s.ends = append(s.ends, len(s.prefix))
+		s.weights = append(s.weights, cnt)
 	}
 	cond := s.getTree(t.ranks)
-	// Pass 2: insert each prefix path, filtered to surviving ranks. The
-	// upward walk yields descending ranks; reverse before inserting.
-	for n := t.heads[rank]; n != 0; n = t.nodes[n].next {
-		cnt := t.nodes[n].count
+	// Pass 2 inserts each recorded prefix, filtered to surviving ranks.
+	// Prefixes were recorded leaf-to-root (descending ranks), so reading
+	// them back to front yields the ascending path Insert takes.
+	start := 0
+	for i, end := range s.ends {
 		s.path = s.path[:0]
-		for p := t.nodes[n].parent; p != 0; p = t.nodes[p].parent {
-			if rk := t.nodes[p].rank; s.counts[rk] >= minCount {
+		for j := end - 1; j >= start; j-- {
+			if rk := s.prefix[j]; s.counts[rk] >= minCount {
 				s.path = append(s.path, rk)
 			}
 		}
-		if len(s.path) == 0 {
-			continue
+		start = end
+		if len(s.path) > 0 {
+			cond.Insert(s.path, s.weights[i])
 		}
-		for i, j := 0, len(s.path)-1; i < j; i, j = i+1, j-1 {
-			s.path[i], s.path[j] = s.path[j], s.path[i]
-		}
-		cond.Insert(s.path, cnt)
 	}
 	// Zero only the touched counters so the array is clean for the next
 	// projection at O(distinct ranks seen), not O(|L1|).
@@ -444,7 +561,7 @@ func (t *Tree) SinglePath(s *Scratch) ([]int32, []int, bool) {
 		if t.nodes[n].sibling != 0 {
 			return nil, nil, false
 		}
-		s.spRanks = append(s.spRanks, t.nodes[n].rank)
+		s.spRanks = append(s.spRanks, t.links[n].rank)
 		s.spCounts = append(s.spCounts, t.nodes[n].count)
 	}
 	return s.spRanks, s.spCounts, true

@@ -3,6 +3,7 @@ package fptree
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/transactions"
@@ -80,7 +81,11 @@ func TestBuildTotalsMatchSupports(t *testing.T) {
 // TestMergeBitIdentical splits random databases into shards, builds one
 // tree per shard, merges them in order and in reverse, and checks both
 // merged trees agree with the single-build tree on every rank total and on
-// every projection's totals — the bit-identical-counts contract.
+// every projection's totals — the bit-identical-counts contract. It also
+// pins the sorted-path layout: Build over a shuffled copy of the database,
+// or over its shards concatenated in reverse, exports the same bytes as
+// the single build, because the pool order follows the sorted paths, not
+// the input order.
 func TestMergeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
@@ -108,6 +113,17 @@ func TestMergeBitIdentical(t *testing.T) {
 				hi = nTx
 			}
 			shards = append(shards, txs[lo:hi])
+		}
+		shuffled := slices.Clone(txs)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		var reversed []transactions.Itemset
+		for _, s := range backward(nShards) {
+			reversed = append(reversed, shards[s]...)
+		}
+		for name, in := range map[string][]transactions.Itemset{"shuffled": shuffled, "reversed shards": reversed} {
+			if got := Build(in, r).Export(); !reflect.DeepEqual(got, want.Export()) {
+				t.Fatalf("trial %d: Build over %s transactions exports a different pool", trial, name)
+			}
 		}
 		for _, order := range [][]int{forward(nShards), backward(nShards)} {
 			merged := New(r)
@@ -245,25 +261,24 @@ func TestScratchTreeReuse(t *testing.T) {
 	}
 }
 
-func TestAddTransactionIgnoresInfrequentAndOutOfRange(t *testing.T) {
+func TestBuildIgnoresInfrequentAndOutOfRange(t *testing.T) {
 	txs := []transactions.Itemset{
 		transactions.NewItemset(0, 1),
 		transactions.NewItemset(0, 1),
 		transactions.NewItemset(2), // infrequent at minCount 2
 	}
 	r := NewRanks(countItems(txs, 3), 2)
-	tree := New(r)
-	var buf []int32
-	for _, tx := range txs {
-		buf = tree.AddTransaction(tx, buf)
-	}
 	// An item beyond the rank table (seen only after ranks froze) is skipped.
-	buf = tree.AddTransaction(transactions.NewItemset(0, 7), buf)
+	tree := Build(append(txs, transactions.NewItemset(0, 7)), r)
 	if got := tree.Total(r.OfItem[0]); got != 3 {
 		t.Fatalf("Total(item 0) = %d, want 3", got)
 	}
 	if tree.NumNodes() != 2 {
 		t.Fatalf("NumNodes = %d, want 2 (shared prefix)", tree.NumNodes())
+	}
+	// Transactions without a single ranked item build nothing.
+	if empty := Build([]transactions.Itemset{transactions.NewItemset(2), transactions.NewItemset(9), nil}, r); !empty.Empty() {
+		t.Fatalf("NumNodes = %d, want an empty tree", empty.NumNodes())
 	}
 }
 

@@ -198,19 +198,21 @@ func writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// handleRules serves GET /v1/rules.
+// handleRules serves GET /v1/rules. Version, NumTx and the rules all come
+// from one view load.
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	q, err := ParseRulesQuery(r.URL.Query())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	rules, version, err := s.TopRules(q)
+	v := s.View()
+	rules, err := s.topRulesAt(v, q)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, rulesResponse{Version: version, NumTx: s.View().NumTx(), Rules: toRuleJSON(rules)})
+	writeJSON(w, rulesResponse{Version: v.Version(), NumTx: v.NumTx(), Rules: toRuleJSON(rules)})
 }
 
 // handleSupport serves GET /v1/support.
@@ -228,7 +230,8 @@ func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-// handleRecommend serves GET /v1/recommend.
+// handleRecommend serves GET /v1/recommend, answering from one view load
+// like handleRules.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	values := r.URL.Query()
 	items, err := ParseItems(values.Get("items"))
@@ -244,12 +247,13 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rules, version, err := s.Recommend(items, k)
+	v := s.View()
+	rules, err := s.recommendAt(v, items, k)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, rulesResponse{Version: version, NumTx: s.View().NumTx(), Rules: toRuleJSON(rules)})
+	writeJSON(w, rulesResponse{Version: v.Version(), NumTx: v.NumTx(), Rules: toRuleJSON(rules)})
 }
 
 // handleStats serves GET /v1/stats.

@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -113,6 +118,119 @@ func TestHTTPSupportAndRecommend(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.Rules, toRuleJSON(want)) {
 		t.Fatal("HTTP recommend diverges from the API")
+	}
+}
+
+// TestHTTPResponsesAnswerFromOneView calls the rules and recommend
+// handlers while the writer publishes a new view per round, each with a
+// different transaction count, and checks every served (version, num_tx)
+// pair against the view of that version: its NumTx, and the row count of
+// the op log replayed to its Ops() position, in the replay style of
+// TestSnapshotSwapProperty. A handler that read num_tx from a second view
+// load would pair one version with a later view's count.
+func TestHTTPResponsesAnswerFromOneView(t *testing.T) {
+	const (
+		readers = 4
+		rounds  = 150
+	)
+	rng := rand.New(rand.NewSource(7))
+	initial := fixtureRows(60, 18, 7)
+	srv := newTestServer(t, initial, Config{CacheSize: 64})
+	h := srv.Handler()
+
+	type served struct {
+		target  string
+		version uint64
+		numTx   int
+	}
+	var (
+		mu   sync.Mutex
+		seen []served
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	targets := []string{"/v1/rules?k=3&by=lift", "/v1/recommend?items=0,1&k=2"}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(target string) {
+			defer wg.Done()
+			for !stop.Load() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("GET %s: status %d (body %s)", target, rec.Code, rec.Body)
+					return
+				}
+				var resp rulesResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Errorf("GET %s: decoding: %v", target, err)
+					return
+				}
+				mu.Lock()
+				seen = append(seen, served{target, resp.Version, resp.NumTx})
+				mu.Unlock()
+			}
+		}(targets[r%len(targets)])
+	}
+
+	// The writer: one append or delete per round, so every publish moves
+	// num_tx, and a Flush after each.
+	views := map[uint64]*View{srv.View().Version(): srv.View()}
+	var opLog []Op
+	driver := opModel{rows: append([][]int(nil), initial...)}
+	ctx := context.Background()
+	for round := 0; round < rounds; round++ {
+		op := Op{Kind: OpAppend, Items: []int{rng.Intn(18), rng.Intn(18), rng.Intn(18)}}
+		if round%3 == 2 {
+			op = Op{Kind: OpDelete, TID: rng.Intn(len(driver.rows))}
+		}
+		if err := srv.Enqueue(ctx, op); err != nil {
+			t.Fatalf("Enqueue: %v", err)
+		}
+		opLog = append(opLog, op)
+		driver.apply(op)
+		v, err := srv.Flush(ctx)
+		if err != nil {
+			t.Fatalf("Flush round %d: %v", round, err)
+		}
+		views[v.Version()] = v
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	// Replay the op log to each view's position for its row count.
+	versions := make([]uint64, 0, len(views))
+	for version := range views {
+		versions = append(versions, version)
+	}
+	slices.Sort(versions)
+	replay := opModel{rows: append([][]int(nil), initial...)}
+	replayed := uint64(0)
+	wantNumTx := map[uint64]int{}
+	for _, version := range versions {
+		for replayed < views[version].Ops() {
+			replay.apply(opLog[replayed])
+			replayed++
+		}
+		wantNumTx[version] = len(replay.rows)
+		if got := views[version].NumTx(); got != len(replay.rows) {
+			t.Fatalf("version %d: view NumTx %d, replayed rows %d", version, got, len(replay.rows))
+		}
+	}
+	servedVersions := map[uint64]bool{}
+	for _, obs := range seen {
+		want, ok := wantNumTx[obs.version]
+		if !ok {
+			t.Fatalf("%s served version %d, which was never published", obs.target, obs.version)
+		}
+		if obs.numTx != want {
+			t.Errorf("%s served version %d with num_tx %d, want %d: the response mixes two views",
+				obs.target, obs.version, obs.numTx, want)
+		}
+		servedVersions[obs.version] = true
+	}
+	if len(servedVersions) < 2 {
+		t.Fatalf("handlers served %d distinct versions; the test never overlapped a publish", len(servedVersions))
 	}
 }
 

@@ -199,18 +199,30 @@ type SupportResult struct {
 // slice is shared and read-only; the version identifies the view it was
 // computed from.
 func (s *Server) TopRules(q RulesQuery) ([]mining.Rule, uint64, error) {
-	nq, err := q.normalize()
+	v := s.View()
+	rules, err := s.topRulesAt(v, q)
 	if err != nil {
 		return nil, 0, err
 	}
-	v := s.View()
+	return rules, v.version, nil
+}
+
+// topRulesAt answers q against the given view through the cache. Callers
+// that report more than the rules (the HTTP handler adds NumTx) load the
+// view once and read every field from it, so a response never mixes two
+// snapshots.
+func (s *Server) topRulesAt(v *View, q RulesQuery) ([]mining.Rule, error) {
+	nq, err := q.normalize()
+	if err != nil {
+		return nil, err
+	}
 	key := nq.key()
 	if rules, ok := s.cache.get(v.version, key); ok {
-		return rules, v.version, nil
+		return rules, nil
 	}
 	rules := topRules(v, nq)
 	s.cache.put(v.version, key, rules)
-	return rules, v.version, nil
+	return rules, nil
 }
 
 // topRules computes q over one immutable view.
@@ -284,15 +296,26 @@ func (s *Server) ItemsetSupport(items ...int) (SupportResult, error) {
 // by lift, then the published order). The returned slice is shared and
 // read-only.
 func (s *Server) Recommend(basket []int, k int) ([]mining.Rule, uint64, error) {
-	norm, err := normalizeItems(basket)
+	v := s.View()
+	rules, err := s.recommendAt(v, basket, k)
 	if err != nil {
 		return nil, 0, err
 	}
+	return rules, v.version, nil
+}
+
+// recommendAt answers a recommendation against the given view through
+// the cache; like topRulesAt it lets a caller answer from one view.
+func (s *Server) recommendAt(v *View, basket []int, k int) ([]mining.Rule, error) {
+	norm, err := normalizeItems(basket)
+	if err != nil {
+		return nil, err
+	}
 	if len(norm) == 0 {
-		return nil, 0, fmt.Errorf("%w: empty basket", ErrBadQuery)
+		return nil, fmt.Errorf("%w: empty basket", ErrBadQuery)
 	}
 	if k < 0 {
-		return nil, 0, fmt.Errorf("%w: negative top-k %d", ErrBadQuery, k)
+		return nil, fmt.Errorf("%w: negative top-k %d", ErrBadQuery, k)
 	}
 	if k == 0 {
 		k = DefaultTopK
@@ -300,14 +323,13 @@ func (s *Server) Recommend(basket []int, k int) ([]mining.Rule, uint64, error) {
 	if k > MaxTopK {
 		k = MaxTopK
 	}
-	v := s.View()
 	key := recommendKey(norm, k)
 	if rules, ok := s.cache.get(v.version, key); ok {
-		return rules, v.version, nil
+		return rules, nil
 	}
 	rules := recommend(v, norm, k)
 	s.cache.put(v.version, key, rules)
-	return rules, v.version, nil
+	return rules, nil
 }
 
 // recommendKey renders a recommendation request as its cache key.

@@ -1,7 +1,10 @@
 // Command doccheck is the CI documentation gate: it fails when a package
 // is missing a package-level doc comment or when an exported top-level
 // identifier (type, function, method, or const/var group) is missing a doc
-// comment. Test files and example files are exempt.
+// comment. Test files and example files are exempt from that rule. It also
+// fails when a comment in any Go file, test files included, names a
+// repo-relative *.md file that does not exist: the name is looked up in
+// the file's directory and in each parent up to the module root.
 //
 // Usage:
 //
@@ -20,6 +23,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -43,12 +47,13 @@ func main() {
 		fmt.Println(v)
 	}
 	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifiers or packages\n", len(violations))
+		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifiers or packages, or missing *.md references\n", len(violations))
 		os.Exit(1)
 	}
 }
 
-// checkTree walks root and checks every non-test Go file.
+// checkTree walks root, checks every non-test Go file's doc coverage and
+// every Go file's *.md references.
 func checkTree(root string) ([]string, error) {
 	var violations []string
 	packageHasDoc := map[string]bool{}  // dir -> any file carries a package comment
@@ -59,12 +64,12 @@ func checkTree(root string) ([]string, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") || name == "vendor" {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || name == "vendor") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		fset := token.NewFileSet()
@@ -73,6 +78,14 @@ func checkTree(root string) ([]string, error) {
 			return err
 		}
 		dir := filepath.Dir(path)
+		v, err := checkRefs(fset, file, dir)
+		if err != nil {
+			return err
+		}
+		violations = append(violations, v...)
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
 		if file.Doc != nil {
 			packageHasDoc[dir] = true
 		}
@@ -91,6 +104,55 @@ func checkTree(root string) ([]string, error) {
 		}
 	}
 	return violations, nil
+}
+
+// mdRef matches a word naming a relative *.md file, with the quotes,
+// brackets and punctuation prose puts around it. Absolute paths and URLs
+// do not match: their first character is a slash or they contain "://".
+var mdRef = regexp.MustCompile("^[`\"'(\\[]*([A-Za-z0-9_][A-Za-z0-9_./-]*\\.md)(?:'s)?[`\"')\\],.;:!?]*$")
+
+// checkRefs reports every comment word in file naming a *.md file that
+// mdExists does not find from dir.
+func checkRefs(fset *token.FileSet, file *ast.File, dir string) ([]string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, group := range file.Comments {
+		for _, c := range group.List {
+			for i, line := range strings.Split(c.Text, "\n") {
+				for _, word := range strings.Fields(line) {
+					m := mdRef.FindStringSubmatch(word)
+					if m == nil || strings.Contains(word, "://") || mdExists(abs, m[1]) {
+						continue
+					}
+					p := fset.Position(c.Pos())
+					out = append(out, fmt.Sprintf("%s:%d: comment refers to %s, which does not exist", p.Filename, p.Line+i, m[1]))
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// mdExists reports whether ref names a file in dir or in one of its
+// parents up to the module root (the nearest ancestor holding go.mod;
+// without one, the file system root).
+func mdExists(dir, ref string) bool {
+	for {
+		if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(ref))); err == nil {
+			return true
+		}
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return false
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return false
+		}
+		dir = parent
+	}
 }
 
 // checkFile reports exported top-level declarations without doc comments.

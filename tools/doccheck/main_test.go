@@ -23,9 +23,10 @@ func TestCheckTreeGoodFixture(t *testing.T) {
 }
 
 // TestCheckTreeBadFixture pins every violation class: missing package
-// doc, undocumented exported const, type, method, and function — while
-// unexported identifiers, methods on unexported types, and _test.go
-// files stay exempt.
+// doc, undocumented exported const, type, method, and function, and
+// comments naming *.md files that do not exist — while unexported
+// identifiers, methods on unexported types, and _test.go files stay
+// exempt from the doc rule (but not from the reference rule).
 func TestCheckTreeBadFixture(t *testing.T) {
 	violations, err := checkTree(filepath.Join("testdata", "bad"))
 	if err != nil {
@@ -37,6 +38,8 @@ func TestCheckTreeBadFixture(t *testing.T) {
 		"exported type Widget has no doc comment",
 		"exported method Widget.Spin has no doc comment",
 		"exported function Exported has no doc comment",
+		"bad.go:3: comment refers to MISSING.md, which does not exist",
+		"bad_test.go:3: comment refers to docs/GONE.md, which does not exist",
 	}
 	if len(violations) != len(wants) {
 		t.Fatalf("bad fixture reported %d violations, want %d:\n%s",
@@ -60,6 +63,20 @@ func TestCheckTreeBadFixture(t *testing.T) {
 		if len(parts) != 3 || parts[1] == "" {
 			t.Errorf("violation not in file:line: message form: %q", v)
 		}
+	}
+}
+
+// TestCheckTreeDotRoot: the walk root itself is never skipped, even when
+// its name is "." — the name every dot-directory check would match.
+func TestCheckTreeDotRoot(t *testing.T) {
+	t.Chdir(filepath.Join("testdata", "bad"))
+	violations, err := checkTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(violations) != 7 {
+		t.Fatalf("checkTree(\".\") in the bad fixture reported %d violations, want 7:\n%s",
+			len(violations), strings.Join(violations, "\n"))
 	}
 }
 

@@ -1,5 +1,7 @@
 package bad
 
+// A floating comment naming a file that does not exist: MISSING.md.
+
 const Bare = 1
 
 type Widget struct{}

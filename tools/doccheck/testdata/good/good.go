@@ -1,5 +1,9 @@
 // Package good is a fully documented fixture: every exported identifier
-// carries a doc comment, so doccheck must report nothing.
+// carries a doc comment, so doccheck must report nothing. Its *.md
+// references all resolve: NOTES.md sits beside this file, and
+// (README.md) is found by walking up to the module root. URLs such as
+// https://example.com/GONE.md and absolute paths such as /nowhere/GONE.md
+// are not repo-relative and are never looked up.
 package good
 
 // Answer is a documented exported const.

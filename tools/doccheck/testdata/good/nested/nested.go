@@ -1,4 +1,5 @@
-// Package nested proves the walk recurses into subdirectories.
+// Package nested proves the walk recurses into subdirectories, and that
+// a reference to NOTES.md resolves in a parent directory.
 package nested
 
 // Depth is documented.
