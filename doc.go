@@ -22,7 +22,8 @@
 // database is split into contiguous zero-copy shards
 // (transactions.DB.Shards), each worker scans its shard into private
 // counters (flat item counts, the pass-2 triangular pair array, or a
-// hashtree.CountBuffer over the read-only candidate tree), and the
+// hashtree.CountBuffer over the read-only candidate tree, whose exact
+// item-rank hash reaches each leaf at most once per transaction), and the
 // private counters are merged after the pass. Merged results are
 // bit-identical to the serial scan, so Apriori, DHP and Partition take a
 // Workers option that changes only wall-clock time. Eclat instead mines

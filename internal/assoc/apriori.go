@@ -25,11 +25,8 @@ const (
 // Apriori is the level-wise miner of Agrawal & Srikant (VLDB'94).
 type Apriori struct {
 	// Strategy selects the counting structure; zero value is the paper's
-	// hash tree.
+	// hash tree, hashed by exact item rank (see internal/hashtree).
 	Strategy CountStrategy
-	// Fanout and MaxLeaf override the hash-tree parameters when positive.
-	Fanout  int
-	MaxLeaf int
 	// Workers distributes every counting scan across this many goroutines
 	// (count distribution: private per-worker counters over contiguous
 	// database shards, merged after the pass). Values <= 1 run serially;
@@ -159,34 +156,19 @@ func thresholdTriangle(l1 []ItemsetCount, counts []int, minCount int) []ItemsetC
 	return out
 }
 
+// countWithHashTree counts cands through one candidate hash tree.
 func (a *Apriori) countWithHashTree(ctx context.Context, db *transactions.DB, cands []transactions.Itemset, k int) ([]ItemsetCount, error) {
-	maxLeaf := hashtree.DefaultMaxLeaf
-	if a.MaxLeaf > 0 {
-		maxLeaf = a.MaxLeaf
-	}
-	fanout := a.Fanout
-	if fanout <= 0 {
-		// Size the fanout so that a depth-k tree can hold the candidates
-		// within the leaf capacity: leaves at depth k cannot split further,
-		// so a fixed small fanout degenerates for the huge C2 of pass 2.
-		fanout = adaptiveFanout(len(cands), k, maxLeaf)
-	}
-	tree, err := hashtree.NewWithParams(k, fanout, maxLeaf)
+	tree, err := hashtree.Build(k, cands)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cands {
-		if _, err := tree.Insert(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := countTree(ctx, db, tree, a.Workers); err != nil {
+	counts, err := countTree(ctx, db, tree, a.Workers)
+	if err != nil {
 		return nil, err
 	}
-	entries := tree.EntriesByID()
-	out := make([]ItemsetCount, len(entries))
-	for i, e := range entries {
-		out[i] = ItemsetCount{Items: e.Items, Count: e.Count}
+	out := make([]ItemsetCount, len(cands))
+	for i, c := range cands {
+		out[i] = ItemsetCount{Items: c, Count: counts[i]}
 	}
 	return out, nil
 }
@@ -212,30 +194,6 @@ func countWithMapWorkers(ctx context.Context, db *transactions.DB, cands []trans
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Items.Compare(out[j].Items) < 0 })
 	return out, nil
-}
-
-// adaptiveFanout returns the smallest power of two f with f^k ≥
-// nCands/maxLeaf, clamped to [16, 4096].
-func adaptiveFanout(nCands, k, maxLeaf int) int {
-	cells := nCands/maxLeaf + 1
-	f := 16
-	for f < 4096 {
-		// f^k >= cells?
-		prod := 1
-		ok := false
-		for i := 0; i < k; i++ {
-			prod *= f
-			if prod >= cells {
-				ok = true
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		f *= 2
-	}
-	return f
 }
 
 // choose returns C(n, k) saturating at a large bound to avoid overflow.

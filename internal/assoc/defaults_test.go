@@ -16,7 +16,7 @@ import (
 // promises:
 //
 //	Workers        0 (and 1) mean serial, identical results at any count
-//	Apriori        Strategy=CountHashTree, adaptive Fanout/MaxLeaf
+//	Apriori        Strategy=CountHashTree
 //	DHP            NumBuckets=1<<16
 //	Eclat          Layout=LayoutAuto, DensityCutoff=DefaultDensityCutoff
 //	Partition      NumPartitions<=1 degenerates to one partition

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/fptree"
-	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
 
@@ -316,23 +315,23 @@ func (d *Distributed) countPairs(ctx context.Context, db *transactions.DB, rank 
 }
 
 // countCandidates is the pass-k (k >= 3) scan, remote or degraded.
-func (d *Distributed) countCandidates(ctx context.Context, db *transactions.DB, k, fanout, maxLeaf int, cands []transactions.Itemset) ([]int, error) {
+func (d *Distributed) countCandidates(ctx context.Context, db *transactions.DB, k int, cands []transactions.Itemset) ([]int, error) {
 	if d.fallback != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var reply dist.CountsReply
-		if err := d.fallback.CountCandidates(dist.CountCandidatesArgs{ShardIDs: fallbackIDs, K: k, Fanout: fanout, MaxLeaf: maxLeaf, Candidates: cands}, &reply); err != nil {
+		if err := d.fallback.CountCandidates(dist.CountCandidatesArgs{ShardIDs: fallbackIDs, K: k, Candidates: cands}, &reply); err != nil {
 			return nil, err
 		}
 		return reply.Counts, nil
 	}
-	counts, err := d.Coordinator().CountCandidates(ctx, k, fanout, maxLeaf, cands)
+	counts, err := d.Coordinator().CountCandidates(ctx, k, cands)
 	if err != nil && d.canDegrade(err) {
 		if derr := d.degrade(ctx, db); derr != nil {
 			return nil, derr
 		}
-		return d.countCandidates(ctx, db, k, fanout, maxLeaf, cands)
+		return d.countCandidates(ctx, db, k, cands)
 	}
 	return counts, err
 }
@@ -396,9 +395,7 @@ func (d *Distributed) mineApriori(ctx context.Context, db *transactions.DB, numI
 		if len(cands) == 0 {
 			break
 		}
-		maxLeaf := hashtree.DefaultMaxLeaf
-		fanout := adaptiveFanout(len(cands), k, maxLeaf)
-		candCounts, err := d.countCandidates(ctx, db, k, fanout, maxLeaf, cands)
+		candCounts, err := d.countCandidates(ctx, db, k, cands)
 		if err != nil {
 			return nil, err
 		}

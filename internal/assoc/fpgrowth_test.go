@@ -94,6 +94,56 @@ func TestFPGrowthMatchesAprioriSynthetic(t *testing.T) {
 	}
 }
 
+// TestRegistrySparseLevelWise is the level-wise counterpart of the
+// bushy input above: a scaled-down mine-sparse shape (T10.I4 over 500
+// items) at a support where Auto stays level-wise and passes 3 to 6 run
+// through the candidate hash tree. Every engine that counts through it —
+// Apriori, Auto, Distributed, and AprioriTid and DHP via Apriori{} — must
+// give FPGrowth's bytes at workers 1, 2 and 8. At D2K no support both
+// keeps Auto level-wise (|L1|^2/2 <= 4|D|) and reaches pass 3, so the
+// input is D8K with 150 patterns.
+func TestRegistrySparseLevelWise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthetic workload")
+	}
+	cfg := synth.T10I4(8000, 96)
+	cfg.NumItems = 500
+	cfg.NumPatterns = 150
+	db, err := synth.Baskets(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const minSup = 0.01
+	auto := &Auto{}
+	if _, err := auto.Select(db, minSup); err != nil || auto.Selected() != "Apriori" {
+		t.Fatalf("Auto on the sparse input picks %q (err %v), want Apriori", auto.Selected(), err)
+	}
+	want, err := (&FPGrowth{}).Mine(db, minSup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Levels) < 5 {
+		t.Fatalf("sparse input mines %d levels, want passes 3 and 4 to find itemsets", len(want.Levels))
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, m := range []Miner{&Apriori{}, &Auto{}, &Distributed{}, &AprioriTid{}, &DHP{}} {
+			if ws, ok := m.(WorkerSetter); ok {
+				ws.SetWorkers(workers)
+			}
+			got, err := m.Mine(db, minSup)
+			if d, ok := m.(*Distributed); ok {
+				d.Close()
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", m.Name(), workers, err)
+			}
+			if !bytes.Equal(got.Canonical(), want.Canonical()) {
+				t.Errorf("%s workers=%d diverges from FPGrowth", m.Name(), workers)
+			}
+		}
+	}
+}
+
 // TestFPGrowthPassStats pins the pass-stat shape: pass 1 reports the item
 // scan, later passes mirror the frequent counts (pattern growth has no
 // candidate sets), and levels agree with the stats.

@@ -98,13 +98,13 @@ type Incremental struct {
 	rank    []int                  // item id -> L1 rank at rebuild, -1 if not frequent then
 	l1Items []int                  // rank -> item id
 	trees   map[int]*hashtree.Tree // tracked k-itemsets (frequent + border), k >= 3
-	treeIdx map[int]map[string]int // itemset key -> entry id per tree
+	treeIdx map[int]map[string]int // itemset key -> slot per tree
 
 	// Per-shard caches and the incrementally maintained global totals.
 	cache      []*shardCache
 	itemTotals []int
 	triTotals  []int
-	treeTotals map[int][]int // summed CountBuffer counts by entry id
+	treeTotals map[int][]int // summed CountBuffer counts by tree slot
 
 	// triScratch pools zeroed dense triangles for countShard: each worker
 	// borrows one, counts into it, extracts the touched entries into the
@@ -303,8 +303,8 @@ func (inc *Incremental) spliceTotals(c *shardCache, sign int) {
 
 // countShard scans one shard into a fresh cache: pass-1 item counts, the
 // triangular pair array over the rebuild's L1 ranks, and one CountBuffer
-// per tracked tree. Shard-local transaction offsets serve as the dedup
-// tids — they only need to be distinct within the buffer's own scan.
+// per tracked tree. The trees skip item ids appended after they were
+// frozen, which no tracked itemset can contain.
 func (inc *Incremental) countShard(sh transactions.Shard, version uint64) *shardCache {
 	c := &shardCache{
 		version: version,
@@ -330,7 +330,7 @@ func (inc *Incremental) countShard(sh transactions.Shard, version uint64) *shard
 	n := len(inc.l1Items)
 	tri := func(i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 	ranks := make([]int, 0, 64)
-	for off, tx := range sh.Transactions {
+	for _, tx := range sh.Transactions {
 		for _, item := range tx {
 			c.items[item]++
 		}
@@ -350,7 +350,7 @@ func (inc *Incremental) countShard(sh transactions.Shard, version uint64) *shard
 			}
 		}
 		for k, tree := range inc.trees {
-			tree.CountTransactionInto(tx, off, c.bufs[k])
+			tree.CountInto(tx, c.bufs[k])
 		}
 	}
 	c.triIdx = touched
@@ -501,14 +501,13 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	inc.treeIdx = make(map[int]map[string]int, len(byLen))
 	inc.treeTotals = make(map[int][]int, len(byLen))
 	for k, sets := range byLen {
-		tree := hashtree.New(k)
+		tree, err := hashtree.Build(k, sets)
+		if err != nil {
+			return nil, *stats, err
+		}
 		idx := make(map[string]int, len(sets))
-		for _, s := range sets {
-			e, err := tree.Insert(s)
-			if err != nil {
-				return nil, *stats, err
-			}
-			idx[s.Key()] = e.ID()
+		for i, s := range sets {
+			idx[s.Key()] = i
 		}
 		inc.trees[k] = tree
 		inc.treeIdx[k] = idx

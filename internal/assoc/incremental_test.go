@@ -102,6 +102,69 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestIncrementalNewItemIDs appends rows that carry item ids at or past
+// the store's item universe at Attach time, next to tracked itemsets.
+// The hash trees frozen at Attach never saw those ids; they must skip
+// them (never wrap them onto tracked items), so Maintain stays
+// incremental and byte-identical to a from-scratch run.
+func TestIncrementalNewItemIDs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(map[int]string{1: "workers1", 4: "workers4"}[workers], func(t *testing.T) {
+			pool := incrementalFixture(t, 400)
+			store := transactions.NewShardedDB(64)
+			for _, tx := range pool[:400] {
+				if err := store.Append(tx...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const minSup = 0.03
+			inc := &Incremental{Workers: workers}
+			attached, _, err := inc.Attach(store, minSup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(attached.Levels) < 3 {
+				t.Fatalf("fixture mines %d levels; the test needs tracked 3-itemsets", len(attached.Levels))
+			}
+			universe := store.NumItems()
+			rng := rand.New(rand.NewSource(5))
+			n := 0
+			for step := 0; step < 4; step++ {
+				for i := 0; i < 10; i++ {
+					// A copy of a base row keeps the supports near the
+					// tracked ones. The new ids would alias, under a
+					// modulo over the old universe, onto another row's
+					// items; each is on one row only, so none becomes
+					// frequent.
+					base, other := pool[rng.Intn(400)], pool[rng.Intn(400)]
+					n++
+					row := append([]int(nil), base...)
+					for _, item := range other {
+						row = append(row, n*universe+item)
+					}
+					if err := store.Append(row...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, stats := mustMaintain(t, inc)
+				if stats.FullRun {
+					t.Fatalf("step %d: stats = %+v, want incremental", step, stats)
+				}
+				want, err := (&Apriori{}).Mine(store.Snapshot(), minSup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(res.Canonical(), want.Canonical()) {
+					t.Fatalf("step %d: maintained result diverged from from-scratch run", step)
+				}
+			}
+			if store.NumItems() <= universe {
+				t.Fatalf("store universe %d did not grow past %d", store.NumItems(), universe)
+			}
+		})
+	}
+}
+
 // TestIncrementalBorderCrossingFallsBack forces a border crossing: a flood
 // of transactions containing a previously infrequent item pushes it (and
 // pairs through it) into the frequent set, whose counts were never tracked.

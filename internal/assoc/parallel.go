@@ -132,42 +132,25 @@ func frequentOneWorkers(ctx context.Context, db *transactions.DB, minCount, work
 	return out, nil
 }
 
-// countTree scans the database through a fully built candidate hash tree.
-// With workers > 1 each worker counts its shard into a private
-// hashtree.CountBuffer (the tree itself is only read), merged afterwards.
-// On cancellation nothing is merged into the tree, so a caller that
-// (wrongly) ignored the error could never observe partial counts.
-func countTree(ctx context.Context, db *transactions.DB, tree *hashtree.Tree, workers int) error {
-	if workers <= 1 {
-		for tid, tx := range db.Transactions {
-			if tid%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			tree.CountTransaction(tx, tid)
-		}
-		return ctx.Err()
-	}
-	bufs := make([]*hashtree.CountBuffer, workers)
+// countTree scans the database through a candidate hash tree and returns
+// the counts indexed by candidate. Each worker counts its shard into a
+// private hashtree.CountBuffer (the tree itself is only read); the
+// buffers merge afterwards.
+func countTree(ctx context.Context, db *transactions.DB, tree *hashtree.Tree, workers int) ([]int, error) {
+	parts := make([][]int, max(workers, 1))
 	if err := forEachShard(ctx, db, workers, func(shard int, sh transactions.Shard) {
 		buf := tree.NewCountBuffer()
 		for off, tx := range sh.Transactions {
 			if off%ctxStride == 0 && ctx.Err() != nil {
 				return
 			}
-			tree.CountTransactionInto(tx, sh.Base+off, buf)
+			tree.CountInto(tx, buf)
 		}
-		bufs[shard] = buf
+		parts[shard] = buf.Counts
 	}); err != nil {
-		return err
+		return nil, err
 	}
-	for _, buf := range bufs {
-		if buf != nil {
-			tree.Merge(buf)
-		}
-	}
-	return nil
+	return mergeCounts(parts, tree.Len()), nil
 }
 
 // countTriangle runs the pass-2 triangular pair scan: rank maps item id to

@@ -136,16 +136,12 @@ type CountPairsArgs struct {
 	N        int
 }
 
-// CountCandidatesArgs requests a pass-k (k >= 3) scan: the worker builds a
-// candidate hash tree with exactly these parameters and insertion order, so
-// entry ids equal candidate indices, and counts the listed shards into one
-// buffer. Dedup tids are request-local scan offsets — distinct per
-// transaction, which is all the hash tree's double-count guard needs.
+// CountCandidatesArgs requests a pass-k (k >= 3) scan: the worker builds
+// the candidate hash tree over Candidates, which counts candidate i in
+// slot i, and counts the listed shards into one buffer.
 type CountCandidatesArgs struct {
 	ShardIDs   []int
 	K          int
-	Fanout     int
-	MaxLeaf    int
 	Candidates []transactions.Itemset
 }
 

@@ -107,30 +107,21 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	return nil
 }
 
-// CountCandidates rebuilds the request's candidate hash tree (identical
-// parameters and insertion order make entry ids equal candidate indices)
-// and counts the replicas into one private buffer. Scan offsets serve as
-// dedup tids; they only need to be distinct within this one scan.
+// CountCandidates builds the request's candidate hash tree and counts
+// the replicas into one private buffer, indexed like args.Candidates.
 func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) error {
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
 	}
-	tree, err := hashtree.NewWithParams(args.K, args.Fanout, args.MaxLeaf)
+	tree, err := hashtree.Build(args.K, args.Candidates)
 	if err != nil {
 		return err
 	}
-	for _, c := range args.Candidates {
-		if _, err := tree.Insert(c); err != nil {
-			return err
-		}
-	}
 	buf := tree.NewCountBuffer()
-	tid := 0
 	for _, sh := range shards {
 		for _, tx := range sh.Txs {
-			tree.CountTransactionInto(tx, tid, buf)
-			tid++
+			tree.CountInto(tx, buf)
 		}
 	}
 	reply.Counts = buf.Counts

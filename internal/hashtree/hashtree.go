@@ -3,254 +3,253 @@
 // transaction, which of the current candidate k-itemsets it contains,
 // without testing every candidate.
 //
-// Interior nodes hash the item at their depth into a fixed fanout of
-// children; leaves store candidate itemsets with their support counters.
-// A leaf splits into an interior node when it exceeds the leaf capacity,
-// unless it is already at depth k (where further splitting cannot separate
-// candidates). Counting a transaction of t items visits at most C(t, k)
-// root-to-leaf paths but in practice far fewer, since subtrees with no
-// matching candidates are never entered — the structure that keeps a pass
-// over |D| transactions near-linear instead of |D|·|C_k|.
+// The structure is the paper's: interior nodes hash the item at their
+// depth to a child, leaves hold candidates, and a leaf splits into an
+// interior node once it holds more than leafCap candidates (unless it is
+// already at depth k). Only the hash differs. Each item is hashed to its
+// dense rank among the items that occur in the tree's candidates, which
+// is a perfect hash, so every descent is exact:
 //
-// The tree participates in the engine's shard/count/merge contract through
-// CountBuffer: after all inserts, the tree is read-only, each worker (or
-// each shard of the incremental backend's cache) counts into a private
-// buffer indexed by entry id, and Merge folds buffers back with plain
-// integer adds — bit-identical to a serial scan in any merge order.
+//   - a leaf at depth d holds only candidates whose first d items equal
+//     the path that reaches it, so a leaf visit checks just the candidate
+//     suffix Items[d:], and only against the transaction items after the
+//     last matched position;
+//   - a transaction's items are distinct, so it reaches each leaf at most
+//     once and no candidate can be counted twice for one transaction;
+//   - counting first remaps the transaction into rank space and drops the
+//     items no candidate contains. An item id at or past the rank table's
+//     end is skipped too: a tree frozen earlier may count rows that carry
+//     item ids it never saw.
+//
+// Rank order is item order, so rank-space transactions and candidates stay
+// sorted. Nodes live in one flat int32 pool in depth-first preorder: no
+// pointers, no per-node allocations.
+//
+// The tree is read-only once built. It takes part in the engine's
+// shard/count/merge contract through CountBuffer: each worker (or each
+// shard of the incremental backend's cache) counts into a private buffer
+// indexed by candidate, and the buffers merge by plain integer addition —
+// bit-identical to a serial scan in any merge order.
 package hashtree
 
 import (
 	"errors"
+	"sort"
 
 	"repro/internal/transactions"
 )
 
-// Entry is a candidate itemset with its running support count.
-type Entry struct {
-	Items transactions.Itemset
-	Count int
+// leafCap is the most candidates a leaf holds before it splits. Every
+// leaf candidate costs a suffix check, every split an interior node. On
+// T10.I4.D100K over 500 items at minsup 0.003 (C3 = 851, C4 = 32), serial
+// Apriori's passes 3+ took 52/53/53/68/72/80 ms for caps 1/2/4/8/16/32
+// (best of 7 mines, 2 vCPU, Go 1.24); 4 is the largest cap at the floor.
+const leafCap = 4
 
-	// id is the entry's insertion rank, the index into per-worker count
-	// buffers in the concurrent counting mode.
-	id int
-
-	// seen guards against counting the same transaction twice when the
-	// traversal reaches the same leaf along different hash paths. It stores
-	// tid+1 so that the zero value means "no transaction seen yet" — storing
-	// the tid directly would make a zero-valued Entry silently skip tid 0.
-	seen int
-}
-
-// ID returns the entry's insertion rank, in [0, Tree.Len()).
-func (e *Entry) ID() int { return e.id }
-
-// Tree is a hash tree over candidate itemsets of a single length k.
-type Tree struct {
-	k       int
-	fanout  int
-	maxLeaf int
-	root    *node
-	size    int
-	byID    []*Entry // entries in insertion order, indexed by Entry.id
-}
-
-type node struct {
-	children []*node  // non-nil for interior nodes
-	entries  []*Entry // leaf payload
-}
-
-// Defaults match the spirit of the paper's implementation.
-const (
-	DefaultFanout  = 16
-	DefaultMaxLeaf = 32
-)
-
-// Errors returned by the tree.
+// Errors returned by Build.
 var (
+	ErrBadK        = errors.New("hashtree: candidate length must be positive")
 	ErrWrongLength = errors.New("hashtree: itemset length does not match tree")
-	ErrBadParams   = errors.New("hashtree: fanout and leaf capacity must be positive")
+	ErrUnsorted    = errors.New("hashtree: candidate items must be non-negative and strictly increasing")
 )
 
-// New returns an empty hash tree for candidates of length k.
-func New(k int) *Tree {
-	t, _ := NewWithParams(k, DefaultFanout, DefaultMaxLeaf)
-	return t
+// Tree is a read-only hash tree over candidate itemsets of one length k.
+// Candidate i of the slice passed to Build is counted in CountBuffer
+// slot i.
+type Tree struct {
+	k int
+	n int // candidates
+
+	// rank maps an item id to its dense rank among the candidates' items,
+	// -1 for items no candidate contains; numRanks is the rank count.
+	rank     []int32
+	numRanks int
+
+	// cands holds candidate i in rank space at cands[i*k : i*k+k].
+	cands []int32
+
+	// nodes is the node pool, root at offset 0. An interior node is
+	// lo, width, then width child offsets for ranks lo..lo+width-1 (0 for
+	// no child: the root is nobody's child). A leaf is ^m, then m
+	// candidate indices.
+	nodes []int32
 }
 
-// NewWithParams returns an empty hash tree with explicit fanout and leaf
-// capacity, for the ablation benchmarks.
-func NewWithParams(k, fanout, maxLeaf int) (*Tree, error) {
-	if fanout < 1 || maxLeaf < 1 || k < 1 {
-		return nil, ErrBadParams
+// Build returns the hash tree over cands, which must all have length k
+// and be sorted, duplicate-free itemsets. The candidates are copied into
+// rank space; cands is not retained.
+func Build(k int, cands []transactions.Itemset) (*Tree, error) {
+	if k < 1 {
+		return nil, ErrBadK
 	}
-	return &Tree{k: k, fanout: fanout, maxLeaf: maxLeaf, root: &node{}}, nil
-}
-
-// Len returns the number of candidates stored.
-func (t *Tree) Len() int { return t.size }
-
-// K returns the candidate length the tree was built for.
-func (t *Tree) K() int { return t.k }
-
-// Insert adds a candidate itemset with a zero count. The caller must not
-// insert duplicates; Apriori's candidate generation never produces them.
-func (t *Tree) Insert(items transactions.Itemset) (*Entry, error) {
-	if len(items) != t.k {
-		return nil, ErrWrongLength
-	}
-	e := &Entry{Items: items, id: t.size}
-	t.insert(t.root, e, 0)
-	t.byID = append(t.byID, e)
-	t.size++
-	return e, nil
-}
-
-func (t *Tree) insert(n *node, e *Entry, depth int) {
-	if n.children != nil {
-		h := e.Items[depth] % t.fanout
-		child := n.children[h]
-		if child == nil {
-			child = &node{}
-			n.children[h] = child
+	maxItem := -1
+	for _, c := range cands {
+		if len(c) != k {
+			return nil, ErrWrongLength
 		}
-		t.insert(child, e, depth+1)
-		return
-	}
-	n.entries = append(n.entries, e)
-	// Split an overfull leaf unless hashing deeper cannot discriminate.
-	if len(n.entries) > t.maxLeaf && depth < t.k {
-		entries := n.entries
-		n.entries = nil
-		n.children = make([]*node, t.fanout)
-		for _, old := range entries {
-			h := old.Items[depth] % t.fanout
-			child := n.children[h]
-			if child == nil {
-				child = &node{}
-				n.children[h] = child
-			}
-			t.insert(child, old, depth+1)
-		}
-	}
-}
-
-// CountTransaction increments the count of every candidate that is a
-// subset of tx, using the paper's recursive traversal: at an interior node
-// of depth d, hash each remaining transaction item and descend; at a leaf,
-// verify containment per candidate. tid must be distinct per transaction
-// (and non-negative); it guards against double counting when a leaf is
-// reachable along several hash paths.
-func (t *Tree) CountTransaction(tx transactions.Itemset, tid int) {
-	if len(tx) < t.k {
-		return
-	}
-	t.count(t.root, tx, 0, 0, tid)
-}
-
-// count descends from n; items before start are already consumed by the
-// path, depth is the node's depth in the tree. The recursion is
-// allocation-free: support counting runs once per transaction per pass,
-// and allocbound holds it to zero provable allocation sites.
-//
-//invcheck:hotpath
-func (t *Tree) count(n *node, tx transactions.Itemset, start, depth, tid int) {
-	if n.children == nil {
-		for _, e := range n.entries {
-			if e.seen != tid+1 && tx.ContainsAll(e.Items) {
-				e.Count++
-				e.seen = tid + 1
+		for j, item := range c {
+			if item < 0 || (j > 0 && item <= c[j-1]) {
+				return nil, ErrUnsorted
 			}
 		}
-		return
+		maxItem = max(maxItem, c[k-1])
 	}
-	// Need k-depth more items; stop early when too few remain.
-	for i := start; i <= len(tx)-(t.k-depth); i++ {
-		child := n.children[tx[i]%t.fanout]
-		if child != nil {
-			t.count(child, tx, i+1, depth+1, tid)
+	// Mark the candidates' items, then number them in item order.
+	t := &Tree{k: k, n: len(cands), rank: make([]int32, maxItem+1)}
+	for i := range t.rank {
+		t.rank[i] = -1
+	}
+	for _, c := range cands {
+		for _, item := range c {
+			t.rank[item] = 0
 		}
 	}
+	for item, r := range t.rank {
+		if r == 0 {
+			t.rank[item] = int32(t.numRanks)
+			t.numRanks++
+		}
+	}
+	t.cands = make([]int32, 0, len(cands)*k)
+	order := make([]int32, len(cands))
+	for i, c := range cands {
+		for _, item := range c {
+			t.cands = append(t.cands, t.rank[item])
+		}
+		order[i] = int32(i)
+	}
+	// Lexicographic order groups each subtree's candidates into one run.
+	sort.Slice(order, func(a, b int) bool {
+		ca, cb := t.cand(order[a]), t.cand(order[b])
+		for j := range ca {
+			if ca[j] != cb[j] {
+				return ca[j] < cb[j]
+			}
+		}
+		return order[a] < order[b]
+	})
+	t.build(order, 0)
+	return t, nil
 }
 
-// CountBuffer holds one worker's private support counters for the
-// concurrent counting mode: counts and duplicate-visit guards indexed by
-// entry id. Workers traverse the tree read-only and write only into their
-// own buffer, so any number of them may count disjoint transaction shards
-// concurrently; the buffers are merged serially after the scan
-// (count-distribution). All candidate insertions must happen before the
-// first concurrent count.
+// cand returns candidate i in rank space.
+func (t *Tree) cand(i int32) []int32 {
+	return t.cands[int(i)*t.k : int(i+1)*t.k]
+}
+
+// build appends the subtree over ids (sorted, sharing their first depth
+// items) to the pool and returns its offset.
+func (t *Tree) build(ids []int32, depth int) int32 {
+	off := int32(len(t.nodes))
+	if len(ids) <= leafCap || depth == t.k {
+		t.nodes = append(t.nodes, ^int32(len(ids)))
+		t.nodes = append(t.nodes, ids...)
+		return off
+	}
+	lo := t.cand(ids[0])[depth]
+	width := t.cand(ids[len(ids)-1])[depth] - lo + 1
+	t.nodes = append(t.nodes, lo, width)
+	t.nodes = append(t.nodes, make([]int32, width)...)
+	for i := 0; i < len(ids); {
+		r := t.cand(ids[i])[depth]
+		j := i + 1
+		for j < len(ids) && t.cand(ids[j])[depth] == r {
+			j++
+		}
+		child := t.build(ids[i:j], depth+1)
+		t.nodes[off+2+r-lo] = child
+		i = j
+	}
+	return off
+}
+
+// Len returns the number of candidates.
+func (t *Tree) Len() int { return t.n }
+
+// CountBuffer is one worker's private counting state for a tree: Counts
+// indexed by candidate, plus the scratch the kernel remaps each
+// transaction into. Workers only read the tree, so any number of them may
+// count disjoint transaction shards concurrently, each into its own
+// buffer; the Counts merge by addition after the scan (count
+// distribution). A buffer belongs to the tree that made it.
 type CountBuffer struct {
 	Counts []int
-	seen   []int // tid+1 of the last transaction counted per entry; 0 = none
+	tx     []int32 // rank-space transaction scratch; a set maps to at most numRanks ranks
 }
 
-// NewCountBuffer returns a zeroed buffer sized for the tree's entries.
+// NewCountBuffer returns a zeroed buffer for the tree.
 func (t *Tree) NewCountBuffer() *CountBuffer {
-	return &CountBuffer{Counts: make([]int, t.size), seen: make([]int, t.size)}
+	return &CountBuffer{Counts: make([]int, t.n), tx: make([]int32, t.numRanks)}
 }
 
-// CountTransactionInto is CountTransaction for the concurrent mode: counts
-// and duplicate guards go into buf instead of the shared entries. The tree
-// itself is only read, so concurrent calls with distinct buffers are
-// race-free.
-func (t *Tree) CountTransactionInto(tx transactions.Itemset, tid int, buf *CountBuffer) {
-	if len(tx) < t.k {
-		return
-	}
-	t.countInto(t.root, tx, 0, 0, tid, buf)
-}
-
-// countInto is count for the concurrent mode; like count it must stay
-// allocation-free, since it runs once per transaction per worker.
+// CountInto adds one to buf.Counts[i] for every candidate i that is a
+// subset of tx, a sorted, duplicate-free itemset. It is the counting
+// kernel of every level-wise pass 3+ and must stay allocation-free: it
+// runs once per transaction per pass.
 //
 //invcheck:hotpath
-func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int, buf *CountBuffer) {
-	if n.children == nil {
-		for _, e := range n.entries {
-			if buf.seen[e.id] != tid+1 && tx.ContainsAll(e.Items) {
-				buf.Counts[e.id]++
-				buf.seen[e.id] = tid + 1
+func (t *Tree) CountInto(tx transactions.Itemset, buf *CountBuffer) {
+	if len(tx) < t.k || t.n == 0 {
+		return
+	}
+	n := 0
+	for _, item := range tx {
+		if uint(item) < uint(len(t.rank)) {
+			if r := t.rank[item]; r >= 0 {
+				buf.tx[n] = r
+				n++
+			}
+		}
+	}
+	if n >= t.k {
+		t.walk(buf, buf.tx[:n], 0, 0, 0)
+	}
+}
+
+// walk descends from the node at off, reached by matching the rank-space
+// transaction rtx up to position start-1 against the first depth items of
+// every candidate below it.
+//
+//invcheck:hotpath
+func (t *Tree) walk(buf *CountBuffer, rtx []int32, off int32, start, depth int) {
+	head := t.nodes[off]
+	if head < 0 {
+		for _, id := range t.nodes[off+1 : off+1+^head] {
+			if containsFrom(rtx[start:], t.cand(id)[depth:]) {
+				buf.Counts[id]++
 			}
 		}
 		return
 	}
-	for i := start; i <= len(tx)-(t.k-depth); i++ {
-		child := n.children[tx[i]%t.fanout]
-		if child != nil {
-			t.countInto(child, tx, i+1, depth+1, tid, buf)
+	width := t.nodes[off+1]
+	children := t.nodes[off+2 : off+2+width]
+	// The k-depth items still to match must fit in what remains.
+	for i := start; i <= len(rtx)-(t.k-depth); i++ {
+		slot := rtx[i] - head
+		if slot < 0 {
+			continue
+		}
+		if slot >= width {
+			return
+		}
+		if child := children[slot]; child != 0 {
+			t.walk(buf, rtx, child, i+1, depth+1)
 		}
 	}
 }
 
-// Merge folds a worker buffer's counts into the shared entry counts. Call
-// it from a single goroutine after all concurrent counting has finished.
-//
-//invcheck:hotpath
-func (t *Tree) Merge(buf *CountBuffer) {
-	for id, c := range buf.Counts {
-		t.byID[id].Count += c
+// containsFrom reports whether the sorted set sub is a subset of the
+// sorted set s.
+func containsFrom(s, sub []int32) bool {
+	i := 0
+	for _, want := range sub {
+		for i < len(s) && s[i] < want {
+			i++
+		}
+		if i == len(s) || s[i] != want {
+			return false
+		}
+		i++
 	}
-}
-
-// EntriesByID returns the stored entries in insertion order (deterministic,
-// unlike Entries). The slice is shared with the tree; do not modify it.
-func (t *Tree) EntriesByID() []*Entry { return t.byID }
-
-// Entries appends all stored entries to dst and returns it; iteration
-// order is unspecified.
-func (t *Tree) Entries(dst []*Entry) []*Entry {
-	return collect(t.root, dst)
-}
-
-func collect(n *node, dst []*Entry) []*Entry {
-	if n == nil {
-		return dst
-	}
-	if n.children == nil {
-		return append(dst, n.entries...)
-	}
-	for _, c := range n.children {
-		dst = collect(c, dst)
-	}
-	return dst
+	return true
 }

@@ -3,7 +3,6 @@ package hashtree
 import (
 	"errors"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,186 +10,282 @@ import (
 	"repro/internal/transactions"
 )
 
-func TestInsertAndLen(t *testing.T) {
-	tr := New(2)
-	if _, err := tr.Insert(transactions.NewItemset(1, 2)); err != nil {
+// mustBuild builds the tree or fails the test.
+func mustBuild(t *testing.T, k int, cands []transactions.Itemset) *Tree {
+	t.Helper()
+	tr, err := Build(k, cands)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Insert(transactions.NewItemset(1, 3)); err != nil {
-		t.Fatal(err)
+	return tr
+}
+
+// countAll scans txs serially into one fresh buffer.
+func countAll(tr *Tree, txs []transactions.Itemset) []int {
+	buf := tr.NewCountBuffer()
+	for _, tx := range txs {
+		tr.CountInto(tx, buf)
 	}
+	return buf.Counts
+}
+
+// bruteForce counts every candidate by a subset test per transaction.
+func bruteForce(cands, txs []transactions.Itemset) []int {
+	want := make([]int, len(cands))
+	for i, c := range cands {
+		for _, tx := range txs {
+			if tx.ContainsAll(c) {
+				want[i]++
+			}
+		}
+	}
+	return want
+}
+
+// leafDepths reports the depth of every leaf in the node pool.
+func leafDepths(tr *Tree) map[int]bool {
+	out := map[int]bool{}
+	var rec func(off int32, depth int)
+	rec = func(off int32, depth int) {
+		head := tr.nodes[off]
+		if head < 0 {
+			out[depth] = true
+			return
+		}
+		for _, child := range tr.nodes[off+2 : off+2+tr.nodes[off+1]] {
+			if child != 0 {
+				rec(child, depth+1)
+			}
+		}
+	}
+	rec(0, 0)
+	return out
+}
+
+// allSubsets returns every k-subset of {0..n-1} in lexicographic order.
+func allSubsets(n, k int) []transactions.Itemset {
+	var out []transactions.Itemset
+	cur := make([]int, 0, k)
+	var rec func(start int)
+	rec = func(start int) {
+		if len(cur) == k {
+			out = append(out, transactions.NewItemset(cur...))
+			return
+		}
+		for i := start; i < n; i++ {
+			cur = append(cur, i)
+			rec(i + 1)
+			cur = cur[:len(cur)-1]
+		}
+	}
+	rec(0)
+	return out
+}
+
+func TestBuildAndLen(t *testing.T) {
+	tr := mustBuild(t, 2, []transactions.Itemset{
+		transactions.NewItemset(1, 2),
+		transactions.NewItemset(1, 3),
+	})
 	if tr.Len() != 2 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if tr.K() != 2 {
-		t.Errorf("K = %d", tr.K())
+	if got := len(tr.NewCountBuffer().Counts); got != 2 {
+		t.Errorf("buffer slots = %d, want 2", got)
 	}
-	if _, err := tr.Insert(transactions.NewItemset(1, 2, 3)); !errors.Is(err, ErrWrongLength) {
-		t.Errorf("wrong-length error = %v", err)
+	empty := mustBuild(t, 3, nil)
+	if empty.Len() != 0 {
+		t.Errorf("empty Len = %d", empty.Len())
+	}
+	if got := countAll(empty, []transactions.Itemset{transactions.NewItemset(1, 2, 3)}); len(got) != 0 {
+		t.Errorf("empty tree counts = %v", got)
 	}
 }
 
-func TestNewWithParamsValidation(t *testing.T) {
-	if _, err := NewWithParams(2, 0, 4); !errors.Is(err, ErrBadParams) {
-		t.Errorf("fanout=0 error = %v", err)
+// TestBuildValidation: Build rejects a bad length, and candidates that
+// are not sorted sets of item ids, over which the rank descent would not
+// be exact.
+func TestBuildValidation(t *testing.T) {
+	cases := []struct {
+		name  string
+		k     int
+		cands []transactions.Itemset
+		want  error
+	}{
+		{"k=0", 0, nil, ErrBadK},
+		{"wrong length", 2, []transactions.Itemset{{1, 2}, {1, 2, 3}}, ErrWrongLength},
+		{"unsorted", 2, []transactions.Itemset{{3, 1}}, ErrUnsorted},
+		{"repeated item", 2, []transactions.Itemset{{2, 2}}, ErrUnsorted},
+		{"negative item", 2, []transactions.Itemset{{-1, 2}}, ErrUnsorted},
 	}
-	if _, err := NewWithParams(2, 4, 0); !errors.Is(err, ErrBadParams) {
-		t.Errorf("leaf=0 error = %v", err)
-	}
-	if _, err := NewWithParams(0, 4, 4); !errors.Is(err, ErrBadParams) {
-		t.Errorf("k=0 error = %v", err)
+	for _, tc := range cases {
+		if _, err := Build(tc.k, tc.cands); !errors.Is(err, tc.want) {
+			t.Errorf("%s: error = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
 func TestCountSimple(t *testing.T) {
-	tr := New(2)
-	e12, _ := tr.Insert(transactions.NewItemset(1, 2))
-	e13, _ := tr.Insert(transactions.NewItemset(1, 3))
-	e24, _ := tr.Insert(transactions.NewItemset(2, 4))
-
+	cands := []transactions.Itemset{
+		transactions.NewItemset(1, 2),
+		transactions.NewItemset(1, 3),
+		transactions.NewItemset(2, 4),
+	}
 	txs := []transactions.Itemset{
 		transactions.NewItemset(1, 2, 3),
 		transactions.NewItemset(1, 2),
 		transactions.NewItemset(2, 4, 5),
 		transactions.NewItemset(3),
 	}
-	for tid, tx := range txs {
-		tr.CountTransaction(tx, tid)
-	}
-	if e12.Count != 2 {
-		t.Errorf("{1,2} count = %d, want 2", e12.Count)
-	}
-	if e13.Count != 1 {
-		t.Errorf("{1,3} count = %d, want 1", e13.Count)
-	}
-	if e24.Count != 1 {
-		t.Errorf("{2,4} count = %d, want 1", e24.Count)
+	got := countAll(mustBuild(t, 2, cands), txs)
+	for i, want := range []int{2, 1, 1} {
+		if got[i] != want {
+			t.Errorf("%v count = %d, want %d", cands[i], got[i], want)
+		}
 	}
 }
 
 func TestCountShortTransactionSkipped(t *testing.T) {
-	tr := New(3)
-	e, _ := tr.Insert(transactions.NewItemset(1, 2, 3))
-	tr.CountTransaction(transactions.NewItemset(1, 2), 0)
-	if e.Count != 0 {
-		t.Errorf("count = %d, want 0", e.Count)
+	tr := mustBuild(t, 3, []transactions.Itemset{transactions.NewItemset(1, 2, 3)})
+	// Too short outright, and too short once the rankless item is dropped.
+	got := countAll(tr, []transactions.Itemset{
+		transactions.NewItemset(1, 2),
+		transactions.NewItemset(1, 2, 7),
+	})
+	if got[0] != 0 {
+		t.Errorf("count = %d, want 0", got[0])
 	}
 }
 
 func TestLeafSplitStillCorrect(t *testing.T) {
-	// Force splits with a tiny leaf capacity and verify counts against
-	// brute force.
-	tr, err := NewWithParams(2, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cands []transactions.Itemset
-	for a := 0; a < 8; a++ {
-		for b := a + 1; b < 8; b++ {
-			c := transactions.NewItemset(a, b)
-			cands = append(cands, c)
-			if _, err := tr.Insert(c); err != nil {
-				t.Fatal(err)
-			}
-		}
+	// 28 pairs over 8 items overflow a leaf, so the root splits and the
+	// first items' subtrees split again; verify against brute force.
+	cands := allSubsets(8, 2)
+	tr := mustBuild(t, 2, cands)
+	if d := leafDepths(tr); d[0] || !d[2] {
+		t.Fatalf("leaf depths = %v, want split leaves down to depth 2", d)
 	}
 	rng := rand.New(rand.NewSource(1))
 	var txs []transactions.Itemset
 	for i := 0; i < 50; i++ {
-		n := 1 + rng.Intn(6)
-		items := make([]int, n)
+		items := make([]int, 1+rng.Intn(6))
 		for j := range items {
 			items[j] = rng.Intn(8)
 		}
 		txs = append(txs, transactions.NewItemset(items...))
 	}
-	for tid, tx := range txs {
-		tr.CountTransaction(tx, tid)
+	got, want := countAll(tr, txs), bruteForce(cands, txs)
+	for i := range cands {
+		if got[i] != want[i] {
+			t.Errorf("candidate %v count = %d, want %d", cands[i], got[i], want[i])
+		}
 	}
-	want := make(map[string]int)
-	for _, c := range cands {
-		for _, tx := range txs {
+}
+
+// TestNoDoubleCount: one transaction adds at most one to any candidate.
+// Every 3-subset of 10 items gives leaves at every depth, and the longest
+// transaction reaches every one of them.
+func TestNoDoubleCount(t *testing.T) {
+	cands := allSubsets(10, 3)
+	tr := mustBuild(t, 3, cands)
+	for _, tx := range []transactions.Itemset{
+		transactions.NewItemset(0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+		transactions.NewItemset(0, 2, 4, 6, 8, 10, 12),
+		transactions.NewItemset(1, 3, 5),
+	} {
+		got := countAll(tr, []transactions.Itemset{tx})
+		for i, c := range cands {
+			want := 0
 			if tx.ContainsAll(c) {
-				want[c.Key()]++
+				want = 1
 			}
-		}
-	}
-	for _, e := range tr.Entries(nil) {
-		if e.Count != want[e.Items.Key()] {
-			t.Errorf("candidate %v count = %d, want %d", e.Items, e.Count, want[e.Items.Key()])
+			if got[i] != want {
+				t.Fatalf("tx %v: %v counted %d times, want %d", tx, c, got[i], want)
+			}
 		}
 	}
 }
 
-func TestNoDoubleCountAcrossHashCollisions(t *testing.T) {
-	// Fanout 2 forces heavy collisions; items 1 and 3 share hash, so a
-	// transaction with both could reach the same leaf twice.
-	tr, err := NewWithParams(2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := tr.Insert(transactions.NewItemset(1, 3))
-	for a := 0; a < 6; a++ {
-		for b := a + 1; b < 6; b++ {
-			if a == 1 && b == 3 {
-				continue
-			}
-			if _, err := tr.Insert(transactions.NewItemset(a, b)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	tr.CountTransaction(transactions.NewItemset(1, 3, 5), 7)
-	if e.Count != 1 {
-		t.Errorf("{1,3} counted %d times in one transaction, want 1", e.Count)
-	}
-}
-
-func TestEntriesReturnsAll(t *testing.T) {
-	tr, _ := NewWithParams(3, 4, 2)
-	keys := map[string]bool{}
+// TestSlotsFollowCandidateOrder: Build sorts the candidates internally,
+// but slot i always counts the i-th candidate passed in, whatever their
+// order.
+func TestSlotsFollowCandidateOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 40; i++ {
-		a, b, c := rng.Intn(30), rng.Intn(30), rng.Intn(30)
-		s := transactions.NewItemset(a, b, c)
-		if len(s) != 3 || keys[s.Key()] {
-			continue
+	cands := allSubsets(9, 3)
+	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	var txs []transactions.Itemset
+	for i := 0; i < 60; i++ {
+		items := make([]int, 2+rng.Intn(6))
+		for j := range items {
+			items[j] = rng.Intn(9)
 		}
-		keys[s.Key()] = true
-		if _, err := tr.Insert(s); err != nil {
-			t.Fatal(err)
-		}
+		txs = append(txs, transactions.NewItemset(items...))
 	}
-	got := tr.Entries(nil)
-	if len(got) != len(keys) {
-		t.Fatalf("Entries len = %d, want %d", len(got), len(keys))
-	}
-	for _, e := range got {
-		if !keys[e.Items.Key()] {
-			t.Errorf("unexpected entry %v", e.Items)
+	got, want := countAll(mustBuild(t, 3, cands), txs), bruteForce(cands, txs)
+	for i := range cands {
+		if got[i] != want[i] {
+			t.Errorf("slot %d (%v) = %d, want %d", i, cands[i], got[i], want[i])
 		}
 	}
 }
 
-// Property: hash-tree counting agrees with brute-force subset counting for
-// random candidate sets and transactions, across parameter settings.
-func TestCountMatchesBruteForceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(seed int64, fanoutRaw, leafRaw uint8) bool {
-		fanout := int(fanoutRaw%7) + 1
-		maxLeaf := int(leafRaw%5) + 1
-		local := rand.New(rand.NewSource(seed))
-		k := 1 + local.Intn(3)
-		tr, err := NewWithParams(k, fanout, maxLeaf)
-		if err != nil {
-			return false
+// TestCountSkipsItemsOutsideCandidates feeds items that no candidate
+// contains, both inside the rank table (ids between candidate items) and
+// at or past its end (ids above every candidate item, as rows appended
+// after a tree was frozen carry): they are skipped, never wrapped onto a
+// ranked item.
+func TestCountSkipsItemsOutsideCandidates(t *testing.T) {
+	// Items 0..6 only; 3 appears in no candidate, the table ends at 6.
+	cands := []transactions.Itemset{
+		transactions.NewItemset(0, 1, 2),
+		transactions.NewItemset(0, 2, 4),
+		transactions.NewItemset(1, 2, 5),
+		transactions.NewItemset(2, 4, 6),
+		transactions.NewItemset(4, 5, 6),
+		transactions.NewItemset(0, 4, 6),
+	}
+	tr := mustBuild(t, 3, cands)
+	if len(tr.rank) != 7 || tr.rank[3] != -1 {
+		t.Fatalf("rank table = %v, want 7 slots with item 3 unranked", tr.rank)
+	}
+	txs := []transactions.Itemset{
+		transactions.NewItemset(0, 1, 2, 3),
+		transactions.NewItemset(3, 7, 8, 9),                  // nothing ranked
+		transactions.NewItemset(0, 7, 14, 21),                // 7k ids would alias 0 under mod 7
+		transactions.NewItemset(2, 4, 6, 7, 1000, 1<<40),     // past the end, far past it
+		transactions.NewItemset(0, 1, 2, 3, 4, 5, 6, 7, 100), // all of them
+	}
+	got, want := countAll(tr, txs), bruteForce(cands, txs)
+	for i := range cands {
+		if got[i] != want[i] {
+			t.Errorf("%v count = %d, want %d", cands[i], got[i], want[i])
 		}
+	}
+}
+
+// Property: counting agrees with brute-force subset counting for random
+// candidate sets of lengths 2..5 and random transactions that include
+// items outside every candidate; across the runs, every length sees
+// leaves at every depth 0..k.
+func TestCountMatchesBruteForceProperty(t *testing.T) {
+	depthsSeen := map[int]map[int]bool{}
+	f := func(seed int64) bool {
+		local := rand.New(rand.NewSource(seed))
+		k := 2 + local.Intn(4)
+		universe := k + 2 + local.Intn(8)
 		seen := map[string]bool{}
 		var cands []transactions.Itemset
-		for i := 0; i < 30; i++ {
+		for i, n := 0, 1+local.Intn(80); i < n; i++ {
 			items := make([]int, k)
-			for j := range items {
-				items[j] = local.Intn(12)
+			keep := 0
+			if len(cands) > 0 && local.Intn(2) == 0 {
+				// A sibling of an earlier candidate: shared prefixes
+				// are what push leaves deep.
+				keep = 1 + local.Intn(k-1)
+				copy(items, cands[local.Intn(len(cands))][:keep])
+			}
+			for j := keep; j < k; j++ {
+				items[j] = local.Intn(universe)
 			}
 			s := transactions.NewItemset(items...)
 			if len(s) != k || seen[s.Key()] {
@@ -198,79 +293,72 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 			}
 			seen[s.Key()] = true
 			cands = append(cands, s)
-			if _, err := tr.Insert(s); err != nil {
-				return false
-			}
+		}
+		tr, err := Build(k, cands)
+		if err != nil {
+			return false
+		}
+		if depthsSeen[k] == nil {
+			depthsSeen[k] = map[int]bool{}
+		}
+		for d := range leafDepths(tr) {
+			depthsSeen[k][d] = true
 		}
 		var txs []transactions.Itemset
-		for i := 0; i < 30; i++ {
-			n := 1 + local.Intn(8)
-			items := make([]int, n)
+		for i := 0; i < 40; i++ {
+			items := make([]int, 1+local.Intn(universe+2))
 			for j := range items {
-				items[j] = local.Intn(12)
+				items[j] = local.Intn(universe + 4)
 			}
 			txs = append(txs, transactions.NewItemset(items...))
 		}
-		for tid, tx := range txs {
-			tr.CountTransaction(tx, tid)
-		}
-		want := map[string]int{}
-		for _, c := range cands {
-			for _, tx := range txs {
-				if tx.ContainsAll(c) {
-					want[c.Key()]++
-				}
-			}
-		}
-		for _, e := range tr.Entries(nil) {
-			if e.Count != want[e.Items.Key()] {
+		got, want := countAll(tr, txs), bruteForce(cands, txs)
+		for i := range cands {
+			if got[i] != want[i] {
 				return false
 			}
 		}
 		return true
 	}
-	_ = rng
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	cfg := &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(3))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestEntriesSortable(t *testing.T) {
-	tr := New(1)
-	for _, v := range []int{5, 1, 3} {
-		if _, err := tr.Insert(transactions.NewItemset(v)); err != nil {
-			t.Fatal(err)
+	for k := 2; k <= 5; k++ {
+		for d := 0; d <= k; d++ {
+			if !depthsSeen[k][d] {
+				t.Errorf("k=%d: no tree had a leaf at depth %d (seen %v)", k, d, depthsSeen[k])
+			}
 		}
 	}
-	es := tr.Entries(nil)
-	sort.Slice(es, func(i, j int) bool { return es[i].Items.Compare(es[j].Items) < 0 })
-	if es[0].Items[0] != 1 || es[2].Items[0] != 5 {
-		t.Errorf("sorted entries = %v", es)
+}
+
+// TestTransactionZeroCounted: a fresh buffer counts the very first
+// transaction it sees (a duplicate-visit guard keyed by transaction id
+// once skipped it), and the next one too.
+func TestTransactionZeroCounted(t *testing.T) {
+	cands := append(allSubsets(6, 2), transactions.NewItemset(0, 6))
+	tr := mustBuild(t, 2, cands)
+	buf := tr.NewCountBuffer()
+	last := len(cands) - 1
+	tr.CountInto(transactions.NewItemset(0, 2, 6), buf)
+	if buf.Counts[last] != 1 {
+		t.Fatalf("first transaction: {0,6} count = %d, want 1", buf.Counts[last])
+	}
+	tr.CountInto(transactions.NewItemset(0, 6), buf)
+	if buf.Counts[last] != 2 {
+		t.Fatalf("second transaction: {0,6} count = %d, want 2", buf.Counts[last])
 	}
 }
 
-// Regression: the duplicate-count guard must not confuse its zero value
-// with transaction id 0 — tid 0 has to be counted on the very first leaf
-// visit, including through leaves reachable along several hash paths.
-func TestTransactionZeroCounted(t *testing.T) {
-	tr, err := NewWithParams(2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Items 0 and 2 collide under fanout 2, so the leaf holding {0,2} is
-	// reachable twice from the root for a transaction containing both.
-	e, _ := tr.Insert(transactions.NewItemset(0, 2))
-	if _, err := tr.Insert(transactions.NewItemset(1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	tr.CountTransaction(transactions.NewItemset(0, 2, 4), 0)
-	if e.Count != 1 {
-		t.Fatalf("tid 0: {0,2} count = %d, want 1", e.Count)
-	}
-	// The guard must still admit the next transaction.
-	tr.CountTransaction(transactions.NewItemset(0, 2), 1)
-	if e.Count != 2 {
-		t.Fatalf("tid 1: {0,2} count = %d, want 2", e.Count)
+// TestCountIntoAllocFree pins the kernel's allocation discipline at run
+// time, beside invcheck's static allocbound gate.
+func TestCountIntoAllocFree(t *testing.T) {
+	tr := mustBuild(t, 3, allSubsets(12, 3))
+	buf := tr.NewCountBuffer()
+	tx := transactions.NewItemset(0, 1, 3, 5, 7, 8, 11, 40)
+	if n := testing.AllocsPerRun(100, func() { tr.CountInto(tx, buf) }); n != 0 {
+		t.Errorf("CountInto allocates %v times per transaction, want 0", n)
 	}
 }
 
@@ -280,8 +368,6 @@ func TestTransactionZeroCounted(t *testing.T) {
 func TestConcurrentCountMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, workers := range []int{1, 2, 4, 8} {
-		serial, _ := NewWithParams(2, 3, 2)
-		parallel, _ := NewWithParams(2, 3, 2)
 		var cands []transactions.Itemset
 		seen := map[string]bool{}
 		for i := 0; i < 25; i++ {
@@ -291,70 +377,50 @@ func TestConcurrentCountMatchesSerial(t *testing.T) {
 			}
 			seen[s.Key()] = true
 			cands = append(cands, s)
-			if _, err := serial.Insert(s); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := parallel.Insert(s); err != nil {
-				t.Fatal(err)
-			}
 		}
+		tr := mustBuild(t, 2, cands)
 		var txs []transactions.Itemset
 		for i := 0; i < 101; i++ {
 			items := make([]int, 1+rng.Intn(7))
 			for j := range items {
-				items[j] = rng.Intn(10)
+				items[j] = rng.Intn(12)
 			}
 			txs = append(txs, transactions.NewItemset(items...))
 		}
-		for tid, tx := range txs {
-			serial.CountTransaction(tx, tid)
-		}
+		serial := countAll(tr, txs)
 
-		// Count-distribution: disjoint contiguous shards, private buffers.
+		// Count distribution: disjoint contiguous shards, private buffers.
 		bufs := make([]*CountBuffer, workers)
 		var wg sync.WaitGroup
 		per := (len(txs) + workers - 1) / workers
 		for w := 0; w < workers; w++ {
-			start := w * per
-			end := start + per
-			if end > len(txs) {
-				end = len(txs)
-			}
+			start, end := w*per, min((w+1)*per, len(txs))
 			if start >= end {
 				continue
 			}
-			bufs[w] = parallel.NewCountBuffer()
+			bufs[w] = tr.NewCountBuffer()
 			wg.Add(1)
-			go func(w, start, end int) {
+			go func(buf *CountBuffer, shard []transactions.Itemset) {
 				defer wg.Done()
-				for tid := start; tid < end; tid++ {
-					parallel.CountTransactionInto(txs[tid], tid, bufs[w])
+				for _, tx := range shard {
+					tr.CountInto(tx, buf)
 				}
-			}(w, start, end)
+			}(bufs[w], txs[start:end])
 		}
 		wg.Wait()
+		merged := make([]int, len(cands))
 		for _, buf := range bufs {
 			if buf != nil {
-				parallel.Merge(buf)
+				for i, c := range buf.Counts {
+					merged[i] += c
+				}
 			}
 		}
-
-		wantByKey := map[string]int{}
-		for _, e := range serial.Entries(nil) {
-			wantByKey[e.Items.Key()] = e.Count
-		}
-		ids := map[int]bool{}
-		for _, e := range parallel.EntriesByID() {
-			if e.Count != wantByKey[e.Items.Key()] {
-				t.Fatalf("workers=%d: %v count = %d, want %d", workers, e.Items, e.Count, wantByKey[e.Items.Key()])
+		want := bruteForce(cands, txs)
+		for i := range cands {
+			if merged[i] != serial[i] || serial[i] != want[i] {
+				t.Fatalf("workers=%d: %v merged %d, serial %d, want %d", workers, cands[i], merged[i], serial[i], want[i])
 			}
-			if ids[e.ID()] {
-				t.Fatalf("duplicate entry id %d", e.ID())
-			}
-			ids[e.ID()] = true
-		}
-		if len(parallel.EntriesByID()) != len(cands) {
-			t.Fatalf("EntriesByID returned %d entries, want %d", len(parallel.EntriesByID()), len(cands))
 		}
 	}
 }

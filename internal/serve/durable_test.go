@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -313,5 +314,73 @@ func TestDurableEmptyStartIsNotRecovered(t *testing.T) {
 	}
 	if !srv.Ready() {
 		t.Fatal("fresh server not ready")
+	}
+}
+
+// walBytes concatenates every file of a WAL directory in name order.
+func walBytes(t *testing.T, fs *wal.MemFS) []byte {
+	t.Helper()
+	names, err := fs.ReadDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, name := range names {
+		data, err := fs.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, name...)
+		all = append(all, data...)
+	}
+	return all
+}
+
+// TestHTTPAppendAllOrNothing: a body whose third line is malformed is
+// rejected with 400 and nothing from it is applied — not the two good
+// lines before it, in memory or in the WAL.
+func TestHTTPAppendAllOrNothing(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			var cfg Config
+			fs := wal.NewMemFS()
+			if durable {
+				cfg.FS = fs
+			}
+			srv := newTestServer(t, fixtureRows(50, 12, 4), cfg)
+			ts := startHTTP(t, srv)
+			ctx := context.Background()
+			before, err := srv.Flush(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walBefore := walBytes(t, fs)
+
+			postStatus(t, ts.URL+"/v1/append", "1 2 3\n4 5 6\n7 x 8\n9 10\n", http.StatusBadRequest)
+			after, err := srv.Flush(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.NumTx() != before.NumTx() || after.Ops() != before.Ops() {
+				t.Fatalf("rejected append applied: num_tx %d -> %d, ops %d -> %d",
+					before.NumTx(), after.NumTx(), before.Ops(), after.Ops())
+			}
+			if got := srv.Stats().Ops; got != before.Ops() {
+				t.Fatalf("stats ops = %d after a rejected append, want %d", got, before.Ops())
+			}
+			if !bytes.Equal(walBytes(t, fs), walBefore) {
+				t.Fatal("rejected append wrote to the WAL")
+			}
+
+			// The same lines without the bad one go through whole.
+			postStatus(t, ts.URL+"/v1/append", "1 2 3\n4 5 6\n9 10\n", http.StatusOK)
+			after, err = srv.Flush(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.NumTx() != before.NumTx()+3 {
+				t.Fatalf("num_tx = %d after a good append, want %d", after.NumTx(), before.NumTx()+3)
+			}
+		})
 	}
 }

@@ -263,10 +263,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleAppend serves POST /v1/append: the body is basket lines
 // (whitespace-separated item ids, one transaction per line), each
-// enqueued as one OpAppend. The enqueue respects the request context, so
-// a client timeout unblocks a full queue's backpressure.
+// enqueued as one OpAppend. A malformed line rejects the whole body with
+// nothing enqueued. The enqueue respects the request context, so a client
+// timeout unblocks a full queue's backpressure; a timeout partway through
+// the enqueue leaves the lines before it enqueued.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	enqueued := 0
+	// Parse the whole body before enqueueing anything, so a bad line
+	// rejects the request with nothing applied.
+	var ops []Op
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -279,20 +283,21 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		if len(items) == 0 {
-			continue
+		if len(items) > 0 {
+			ops = append(ops, Op{Kind: OpAppend, Items: items})
 		}
-		if err := s.Enqueue(r.Context(), Op{Kind: OpAppend, Items: items}); err != nil {
-			writeError(w, err)
-			return
-		}
-		enqueued++
 	}
 	if err := sc.Err(); err != nil {
 		writeError(w, fmt.Errorf("%w: reading body: %v", ErrBadQuery, err))
 		return
 	}
-	writeJSON(w, map[string]int{"enqueued": enqueued})
+	for _, op := range ops {
+		if err := s.Enqueue(r.Context(), op); err != nil {
+			writeError(w, err)
+			return
+		}
+	}
+	writeJSON(w, map[string]int{"enqueued": len(ops)})
 }
 
 // handleDelete serves POST /v1/delete?tid=N.
